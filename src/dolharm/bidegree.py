@@ -45,7 +45,7 @@ class AlmostComplexCoframe:
         return [list(self.rows[0]), list(self.rows[1]), conj_rows[0], conj_rows[1]]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _frame_matrices(cf: AlmostComplexCoframe):
     stacked = cf.stacked()
     try:
@@ -205,16 +205,17 @@ class BidegreeCalculus:
         return self._component(f, -1, +2)
 
     def dc(self, f: InvariantForm) -> InvariantForm:
-        """d^c = -J^{-1} d J = i(mubar + delbar - del - mu), componentwise."""
+        """d^c = -J^{-1} d J = i(mubar + delbar - del - mu), componentwise: one d
+        per (p,q)-component, kept where q grew (mubar, delbar), negated where p grew."""
         if f.frame is not FrameTag.COMPLEX:
             raise DegreeMismatchError("d^c acts on complex-frame forms")
         i_unit = 1j if f.is_float else QI(0, 1)
         out = InvariantForm.zero(FrameTag.COMPLEX, f.degree + 1)
         for (p, q) in sorted({word_bidegree(w) for w in f.coeffs}):
-            comp = project(f, (p, q))
-            signed = (self.mubar(comp) + self.delbar(comp)
-                      - self.del_(comp) - self.mu(comp))
-            out = out + signed.scaled(i_unit)
+            df = self.d(project(f, (p, q)))
+            signed = {w: c if word_bidegree(w)[1] > q else -c
+                      for w, c in df.coeffs.items()}
+            out = out + InvariantForm(FrameTag.COMPLEX, df.degree, signed).scaled(i_unit)
         return out
 
     # -- convenience -------------------------------------------------------------

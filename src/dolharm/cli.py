@@ -3,7 +3,7 @@
 Verbs: validate, h11, ak-scan, sweep, catalog, report.  Problems come either
 from a JSON file (or ``-`` for stdin) or inline via ``--entry``/``--param``/
 ``--metric``.  Exit codes: 0 success, 2 parse or validation error, 3 backend
-disagreement.
+disagreement, 4 internal invariant breach (a result failed its own re-check).
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from . import __version__
 from .catalog import CATALOG_NAMES, PARAM_REQUIREMENTS, catalog
 from .cohomology import ce_cohomology
 from .errors import (BackendDisagreementError, CatalogError, DolharmError,
-                     MetricError, SpecParseError)
+                     InternalInvariantError, MetricError, SpecParseError)
 from .problem import (Problem, build_run_report, load_problem, parse_problem,
                       render_human, sweep_csv)
 from .scalars import as_fraction
@@ -24,6 +24,7 @@ from .scalars import as_fraction
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_BACKEND = 3
+EXIT_INTERNAL = 4
 
 
 def _add_common(parser: argparse.ArgumentParser, needs_metric: bool) -> None:
@@ -63,7 +64,12 @@ def _problem_from_args(args, needs_metric: bool) -> Problem:
                  "seed": args.seed}
     if args.b_minus is not None:
         b = args.b_minus
-        overrides["b_minus"] = int(b) if b.lstrip("+-").isdigit() else b
+        if b.lstrip("+-").isdigit():
+            b = int(b)
+            if b < 0:
+                raise SpecParseError("--b-minus",
+                                     f"b^- override must be nonnegative, got {b}")
+        overrides["b_minus"] = b
     if args.problem is not None and args.entry is not None:
         raise SpecParseError("$", "give either a problem file or --entry, not both")
     if args.problem is not None:
@@ -301,6 +307,9 @@ def main(argv=None) -> int:
             f"(ranks {exc.float_report.rank_m}/{exc.float_report.rank_aug}, "
             f"tolerance {exc.float_report.tolerance})\n")
         return EXIT_BACKEND
+    except InternalInvariantError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return EXIT_INTERNAL
     except DolharmError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE

@@ -68,7 +68,7 @@ def closed_form_basis(lie: LieStructure, k: int) -> list[InvariantForm]:
     return [_vector_to_form(v, words) for v in vecs]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def ce_cohomology(lie: LieStructure) -> CohomologyReport:
     """Betti numbers, H^2 representatives and the intersection form of H^2."""
     from .errors import DolharmError

@@ -7,11 +7,18 @@ omega, equivalently
     del(omega - gamma) = 0   and   delbar(omega + gamma) = 0.
 
 With gamma = gamma(A, B', C') from :mod:`dolharm.hermitian` this is a
-complex-linear system in (A, B', C'): one equation per basis (2,1)- and
-(1,2)-word.  ``assemble_system`` builds it (rows scaled by 4i, matching the
-structure tables), ``decide_h11`` solves it on the exact and/or floating
-backend, re-verifies any witness by direct evaluation, and reports
-h11 = b^- + delta under an explicit b^- provenance.
+complex-linear system M (A, B', C')^T = v: one equation per basis (2,1)- and
+(1,2)-word, rows scaled by 4i.  Its coefficients factor as M = T G(m) and
+v = S T omega(m): the 4x4 table T (4i*del and 4i*delbar of the basis
+(1,1)-words) depends only on the structure and coframe and is computed once
+per pair, G(m) and omega(m) are closed forms in the metric, and S negates
+the delbar rows.  ``assemble_system`` evaluates that product;
+``decide_h11`` decides it on the exact and/or floating backend, re-verifies
+any witness by direct evaluation in the form algebra, and reports
+h11 = b^- + delta under an explicit b^- provenance.  The exact backend runs
+one elimination of [M|v]: its pivots give rank M and rank [M|v], and with
+rank M = 3 its last column is the witness; only a rank-deficient M takes the
+minimum-norm route x = M^H z, (M M^H) z = v.
 
 The same module hosts the two feasibility checks that need no metric:
 ``almost_kahler_feasible`` treats delbar(omega) = 0 as a real-linear system
@@ -33,12 +40,13 @@ import numpy as np
 from .bidegree import AlmostComplexCoframe, BidegreeCalculus
 from .catalog import CatalogEntry
 from .cohomology import TOP_WORD, ce_cohomology, closed_form_basis
-from .errors import BackendDisagreementError, DolharmError
+from .errors import (BackendDisagreementError, DolharmError,
+                     InternalInvariantError)
 from .exterior import FrameTag, InvariantForm, Word
 from .hermitian import (ASDCoefficients, MetricParams, asd_form_scaled,
                         fundamental_form, hodge_star)
 from .lie import LieStructure
-from .linalg import float_lstsq, float_rank, kernel, min_norm_solution, rank
+from .linalg import float_lstsq, float_rank, kernel, row_space_solution, rref
 from .scalars import QI, to_complex
 
 DEFAULT_TOLERANCE = 1e-9
@@ -48,7 +56,7 @@ W21 = ((1, 2, 3), (1, 2, 4))            # basis (2,1) 3-forms
 W12 = ((1, 3, 4), (2, 3, 4))            # basis (1,2) 3-forms
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _require_valid_structure(lie: LieStructure) -> None:
     from .lie import validate_d_squared
 
@@ -64,17 +72,16 @@ def calculus_for(lie: LieStructure, coframe: AlmostComplexCoframe) -> BidegreeCa
 
 
 @lru_cache(maxsize=128)
-def _structure_tables(lie: LieStructure, coframe: AlmostComplexCoframe):
-    """4i*del and 4i*delbar of each basis (1,1)-word, as word->coeff dicts."""
+def _structure_tables(lie: LieStructure, coframe: AlmostComplexCoframe
+                      ) -> tuple[tuple[QI, ...], ...]:
+    """The 4x4 table T: rows 4i*del on W21 then 4i*delbar on W12, columns W11."""
     calc = calculus_for(lie, coframe)
     four_i = QI(0, 4)
-    del_t = {}
-    delbar_t = {}
-    for w in W11:
-        basis = InvariantForm.basis(FrameTag.COMPLEX, w)
-        del_t[w] = dict(calc.del_(basis).scaled(four_i).coeffs)
-        delbar_t[w] = dict(calc.delbar(basis).scaled(four_i).coeffs)
-    return del_t, delbar_t
+    basis = [InvariantForm.basis(FrameTag.COMPLEX, w) for w in W11]
+    dels = [calc.del_(b).scaled(four_i) for b in basis]
+    delbars = [calc.delbar(b).scaled(four_i) for b in basis]
+    return (tuple(tuple(f.get(word) for f in dels) for word in W21)
+            + tuple(tuple(f.get(word) for f in delbars) for word in W12))
 
 
 @dataclass(frozen=True)
@@ -105,44 +112,30 @@ class HarmonicSystem:
         return mat, vec
 
 
-def _omega_coeffs(m: MetricParams) -> dict[Word, QI]:
-    return {(1, 3): QI(0, m.r2), (2, 4): QI(0, m.s2),
-            (1, 4): m.u, (2, 3): -m.u.conjugate()}
-
-
-def _gamma_basis_coeffs(m: MetricParams) -> list[dict[Word, QI]]:
-    from .hermitian import asd_basis_scaled
-
-    return [dict(g.coeffs) for g in asd_basis_scaled(m)]
-
-
 def assemble_system(lie: LieStructure, coframe: AlmostComplexCoframe,
                     m: MetricParams) -> HarmonicSystem:
     """Rows of 4i*del(omega - gamma) = 0 and 4i*delbar(omega + gamma) = 0.
 
-    The del rows read the coefficients of the basis (2,1)-words in
-    4i*del(gamma) = 4i*del(omega); the delbar rows read the (1,2)-words in
-    4i*delbar(gamma) = -4i*delbar(omega).
+    M = T G(m) and v = S T omega(m).  T is the cached structure table; the
+    columns of G(m) hold the W11 coefficients of gamma(1,0,0), gamma(0,1,0)
+    and gamma(0,0,1), and omega(m) those of omega (the closed forms in
+    :mod:`dolharm.hermitian`).  The del rows read 4i*del(gamma) =
+    4i*del(omega); S negates the delbar rows, 4i*delbar(gamma) = -4i*delbar(omega).
     """
     _require_valid_structure(lie)
-    del_t, delbar_t = _structure_tables(lie, coframe)
-    com = _omega_coeffs(m)
-    gammas = _gamma_basis_coeffs(m)
+    i, u, ub, inv_r2 = QI(0, 1), m.u, m.u.conjugate(), QI(1 / m.r2)
+    gamma = ((QI(m.r2), QI(0), QI(0)),
+             (-(i * u), QI(1), QI(0)),
+             (i * ub, QI(0), QI(1)),
+             (QI((2 * u.abs2() - m.r2 * m.s2) / m.r2), i * ub * inv_r2, -(i * u) * inv_r2))
+    omega = (QI(0, m.r2), u, -ub, QI(0, m.s2))
     rows = []
-    for word in W21:
-        coeffs = tuple(
-            sum((g.get(w, QI(0)) * del_t[w].get(word, QI(0)) for w in W11),
-                start=QI(0))
-            for g in gammas)
-        rhs = sum((com[w] * del_t[w].get(word, QI(0)) for w in W11), start=QI(0))
-        rows.append(SystemRow("del", word, coeffs, rhs))
-    for word in W12:
-        coeffs = tuple(
-            sum((g.get(w, QI(0)) * delbar_t[w].get(word, QI(0)) for w in W11),
-                start=QI(0))
-            for g in gammas)
-        rhs = -sum((com[w] * delbar_t[w].get(word, QI(0)) for w in W11), start=QI(0))
-        rows.append(SystemRow("delbar", word, coeffs, rhs))
+    labels = [("del", w) for w in W21] + [("delbar", w) for w in W12]
+    for t, (op, word) in zip(_structure_tables(lie, coframe), labels):
+        coeffs = tuple(sum((t[j] * gamma[j][c] for j in range(4) if t[j] and gamma[j][c]),
+                           start=QI(0)) for c in range(3))
+        rhs = sum((t[j] * omega[j] for j in range(4) if t[j]), start=QI(0))
+        rows.append(SystemRow(op, word, coeffs, rhs if op == "del" else -rhs))
     return HarmonicSystem(tuple(rows), m)
 
 
@@ -190,6 +183,8 @@ def _resolve_b_minus(policy, entry: Optional[CatalogEntry], lie: LieStructure
     if policy in (None, "auto"):
         policy = entry.default_b_minus_policy if entry is not None else "ce_computed"
     if isinstance(policy, int) and not isinstance(policy, bool):
+        if policy < 0:
+            raise DolharmError(f"b^- override must be nonnegative, got {policy}")
         return policy, "override", ce, ref
     if policy in ("ce", "ce_computed"):
         return ce, "ce_computed", ce, ref
@@ -203,16 +198,21 @@ def _resolve_b_minus(policy, entry: Optional[CatalogEntry], lie: LieStructure
 
 def _decide_exact(system: HarmonicSystem, lie, coframe, tolerance) -> dict:
     mat, vec = system.matrix(), system.rhs()
-    rank_m = rank(mat)
-    rank_aug = rank([row + [v] for row, v in zip(mat, vec)])
+    n = len(mat[0])
+    red, pivots = rref([row + [v] for row, v in zip(mat, vec)])
+    rank_aug = len(pivots)
+    rank_m = rank_aug - (n in pivots)
     out = {"rank_m": rank_m, "rank_aug": rank_aug, "delta": int(rank_m == rank_aug)}
     if out["delta"]:
-        x = min_norm_solution(mat, vec)
+        # full column rank: the reduced last column is the unique solution
+        x = ([red[k][n] for k in range(n)] if rank_m == n
+             else row_space_solution(mat, vec))
         if x is None:
-            raise DolharmError("rank test and solver disagree on the exact backend")
+            raise InternalInvariantError(
+                "rank test and solver disagree on the exact backend")
         res_dc, res_star = verify_witness(lie, coframe, system.metric, x)
         if not (res_dc.is_zero and res_star.is_zero):
-            raise DolharmError(
+            raise InternalInvariantError(
                 "exact witness failed re-verification: "
                 f"i d^c gamma - d omega = {res_dc}, star gamma + gamma = {res_star}")
         out.update(witness_scaled=tuple(x), residual_dc=0.0, residual_star=0.0)
@@ -251,10 +251,17 @@ def decide_h11(lie: LieStructure, coframe: AlmostComplexCoframe, m: MetricParams
                tolerance: float = DEFAULT_TOLERANCE) -> DecisionReport:
     """delta in {0,1} and h11 = b^- + delta for one metric.
 
+    The system comes from :func:`assemble_system`.  The exact backend decides
+    delta = [rank M == rank [M|v]] from a single elimination of [M|v] and
+    reads the witness off it (minimum-norm solve only when rank M < 3); the
+    float backend uses SVD ranks and a least-squares residual.  Both
+    re-verify every witness, and a failed re-check raises
+    :class:`InternalInvariantError`.
+
     ``backend`` is "exact", "float" or "both"; "both" runs the two and raises
     :class:`BackendDisagreementError` when their verdicts differ.  ``b_minus``
     selects the provenance of b^-: "auto" (per-entry default), "ce", "paper",
-    or an integer override.
+    or a nonnegative integer override.
     """
     if backend not in ("exact", "float", "both"):
         raise DolharmError(f"invalid backend {backend!r}")
@@ -364,7 +371,8 @@ def almost_kahler_feasible(lie: LieStructure, coframe: AlmostComplexCoframe,
             return None
         m = MetricParams.from_squares(x[0], x[1], QI(x[2], x[3]))
         if not calc.d(fundamental_form(m)).is_zero:
-            raise DolharmError("almost Kahler witness failed the closedness re-check")
+            raise InternalInvariantError(
+                "almost Kahler witness failed the closedness re-check")
         return m
 
     used = 0
@@ -435,5 +443,5 @@ def symplectic_feasible(lie: LieStructure) -> SymplecticVerdict:
             "infeasible", None,
             "every closed invariant 2-form has vanishing square")
     if not lie.d(witness).is_zero or not witness.wedge(witness).coeffs.get(TOP_WORD):
-        raise DolharmError("symplectic witness failed re-verification")
+        raise InternalInvariantError("symplectic witness failed re-verification")
     return SymplecticVerdict("feasible", witness, "witness re-verified")

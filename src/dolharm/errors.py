@@ -39,6 +39,10 @@ class SpecParseError(DolharmError):
         super().__init__(f"{location}: {message}")
 
 
+class InternalInvariantError(DolharmError):
+    """A computed result failed its own re-verification: a bug, not bad input."""
+
+
 class BackendDisagreementError(DolharmError):
     """Exact and floating backends returned different verdicts."""
 

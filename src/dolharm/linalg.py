@@ -137,9 +137,14 @@ def min_norm_solution(rows: Sequence[Sequence], rhs: Sequence):
     aug_rank = rank([list(r) + [v] for r, v in zip(rows, rhs)])
     if aug_rank != rank(rows):
         return None
+    return row_space_solution(rows, rhs)
+
+
+def row_space_solution(rows: Sequence[Sequence], rhs: Sequence):
+    """x = M^H z with (M M^H) z = v, or None: the minimum-norm solution of a
+    system the caller already knows to be consistent."""
     mh = conj_transpose(rows)
-    gram = matmul(rows, mh)
-    z = solve(gram, rhs)
+    z = solve(matmul(rows, mh), rhs)
     if z is None:
         return None
     return matvec(mh, z)

@@ -156,6 +156,9 @@ def parse_options(obj: Mapping, where: str = "options") -> Options:
         except ValueError:
             raise SpecParseError(f"{where}.b_minus",
                                  "expected 'ce', 'paper', 'auto' or an integer") from None
+    if isinstance(b_minus, int) and not isinstance(b_minus, bool) and b_minus < 0:
+        raise SpecParseError(f"{where}.b_minus",
+                             f"b^- override must be nonnegative, got {b_minus}")
     try:
         tolerance = float(obj.get("tolerance", DEFAULT_TOLERANCE))
         seed = int(obj.get("seed", 0))

@@ -193,3 +193,22 @@ def test_dc_mixed_input_processed_componentwise():
     mixed = InvariantForm.build(C, 2, {(1, 2): QI(1), (1, 4): QI(2)})
     split = calc.dc(project(mixed, (2, 0))) + calc.dc(project(mixed, (1, 1)))
     assert calc.dc(mixed) == split
+
+
+def test_dc_equals_four_operator_sum():
+    """dc differentiates each bidegree component once and splits the result by
+    sign; it must equal i(mubar + delbar - del - mu) applied per component."""
+    rng = random.Random(13)
+    for entry in default_entries():
+        calc = BidegreeCalculus(entry.lie, entry.coframe)
+        for float_backend in (False, True):
+            i_unit = 1j if float_backend else QI(0, 1)
+            for degree in range(5):
+                f = random_form(rng, C, degree, float_backend)
+                expected = InvariantForm.zero(C, degree + 1)
+                for bd in sorted({word_bidegree(w) for w in f.coeffs}):
+                    comp = project(f, bd)
+                    signed = (calc.mubar(comp) + calc.delbar(comp)
+                              - calc.del_(comp) - calc.mu(comp))
+                    expected = expected + signed.scaled(i_unit)
+                assert calc.dc(f) == expected, (entry.key, degree, float_backend)

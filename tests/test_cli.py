@@ -232,3 +232,39 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_negative_b_minus_override_rejected(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "h11", "--entry", "secondary_kodaira",
+                             "--metric", "1,1,1/2,0", "--b-minus=-5")
+    assert code == 2 and not out
+    assert "--b-minus" in err and "nonnegative" in err
+    for value in (-3, "-3"):
+        doc = {"catalog": {"name": "secondary_kodaira"},
+               "metric": {"r": "1", "s": "1", "u_re": "1/2", "u_im": "0"},
+               "options": {"b_minus": value}}
+        with pytest.raises(SpecParseError) as exc:
+            parse_problem(doc)
+        assert exc.value.location == "options.b_minus"
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "h11", str(path))
+        assert code == 2 and "options.b_minus" in err
+    code, out, _ = run_cli(capsys, "h11", "--entry", "secondary_kodaira",
+                           "--metric", "1,1,1/2,0", "--b-minus=0", "--json")
+    assert code == 0 and json.loads(out)["decision"]["h11"] == 1
+
+
+def test_internal_invariant_breach_exit_code(capsys, monkeypatch):
+    import dolharm.decision as decision
+    from dolharm.exterior import FrameTag, InvariantForm
+
+    def broken_verify(lie, coframe, m, scaled, float_backend=False):
+        bad = InvariantForm.basis(FrameTag.COMPLEX, (1, 2, 3))
+        return bad, InvariantForm.zero(FrameTag.COMPLEX, 2)
+
+    monkeypatch.setattr(decision, "verify_witness", broken_verify)
+    code, out, err = run_cli(capsys, "h11", "--entry", "secondary_kodaira",
+                             "--metric", "1,1,1/2,0", "--backend", "exact")
+    assert code == 4 and not out
+    assert "re-verification" in err

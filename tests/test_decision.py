@@ -24,7 +24,7 @@ from dolharm.decision import (almost_kahler_feasible, assemble_system,
 from dolharm.errors import BackendDisagreementError, DolharmError
 from dolharm.exterior import FrameTag, InvariantForm
 from dolharm.hermitian import MetricParams, fundamental_form
-from dolharm.linalg import invert_matrix
+from dolharm.linalg import invert_matrix, min_norm_solution, rank
 from dolharm.scalars import QI
 
 from conftest import DEFAULT_PARAMS, default_entries, random_metric
@@ -316,6 +316,8 @@ def test_b_minus_policies():
     assert rep_paper.b_minus_used == 1 and rep_paper.h11 == 2
     rep_over = decide_h11(entry.lie, entry.coframe, m, entry=entry, b_minus=7)
     assert rep_over.b_minus_used == 7 and rep_over.b_minus_provenance == "override"
+    with pytest.raises(DolharmError, match="nonnegative"):
+        decide_h11(entry.lie, entry.coframe, m, entry=entry, b_minus=-5)
     assert rep_auto.b_minus_discrepancy
 
 
@@ -470,3 +472,60 @@ def test_ak_verdict_deterministic():
     v1 = almost_kahler_feasible(entry.lie, entry.coframe, seed=0)
     v2 = almost_kahler_feasible(entry.lie, entry.coframe, seed=0)
     assert v1 == v2
+
+
+# -- the single-elimination path against the old multi-elimination route -------
+
+
+def _reference_route(entry, m):
+    """rank M, rank [M|v] and min_norm_solution, each on its own, as decided
+    before the single elimination."""
+    system = assemble_system(entry.lie, entry.coframe, m)
+    mat, vec = system.matrix(), system.rhs()
+    rank_m = rank(mat)
+    rank_aug = rank([row + [v] for row, v in zip(mat, vec)])
+    x = min_norm_solution(mat, vec)
+    return rank_m, rank_aug, (tuple(x) if x is not None else None)
+
+
+def test_single_elimination_matches_reference_route():
+    rng = random.Random(43)
+    cases = {"full_rank_witness": 0, "min_norm_witness": 0, "no_witness": 0}
+    for entry in default_entries():
+        metrics = [random_metric(rng) for _ in range(6)]
+        # on the loci of secondary_kodaira, inoue_sm (alpha = beta = 1) and
+        # primary_kodaira_I (alpha = 1) respectively
+        metrics += [MetricParams.from_rs(1, 2, u)
+                    for u in (QI(Fraction(1, 3), 0), QI(0, -1), QI(1, 0))]
+        for k in (-8, -4, 0, 4, 8):
+            lam = Fraction(10) ** k
+            metrics.append(MetricParams.from_rs(
+                lam, 2 * lam, QI(lam * lam / 3, lam * lam / 5)))
+        for m in metrics:
+            rep = decide_h11(entry.lie, entry.coframe, m, backend="exact", entry=entry)
+            rank_m, rank_aug, x = _reference_route(entry, m)
+            assert (rep.rank_m, rep.rank_aug) == (rank_m, rank_aug), (entry.key, m)
+            assert rep.witness_scaled == x, (entry.key, m.describe())
+            if x is not None:
+                assert all(isinstance(c, QI) for c in rep.witness_scaled)
+            cases["no_witness" if x is None else
+                  "full_rank_witness" if rank_m == 3 else "min_norm_witness"] += 1
+    assert all(cases.values()), cases
+
+
+def test_structure_caches_are_bounded():
+    """Fresh coframes (primary_kodaira_II's beta) and fresh structures
+    (inoue_sm's alpha) must not pile up in the per-structure caches."""
+    from dolharm.bidegree import _frame_matrices
+    from dolharm.cohomology import ce_cohomology
+    from dolharm.decision import _require_valid_structure, _structure_tables
+
+    m = MetricParams.from_rs(1, 1, QI(Fraction(1, 2), 0))
+    builds = ([catalog("primary_kodaira_II", beta=Fraction(k, 7)) for k in range(1, 301)]
+              + [catalog("inoue_sm", alpha=Fraction(k, 7), beta=1) for k in range(1, 131)])
+    for entry in builds:
+        decide_h11(entry.lie, entry.coframe, m, backend="exact", entry=entry)
+    for cache in (_frame_matrices, _require_valid_structure, ce_cohomology,
+                  calculus_for, _structure_tables):
+        info = cache.cache_info()
+        assert info.maxsize == 128 and info.currsize == 128, (cache.__name__, info)

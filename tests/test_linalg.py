@@ -5,8 +5,8 @@ import pytest
 
 from dolharm.errors import SingularMatrixError
 from dolharm.linalg import (float_lstsq, float_rank, invert_matrix, kernel,
-                            matmul, min_norm_solution, rank, rref, solve,
-                            symmetric_signature)
+                            matmul, min_norm_solution, rank, row_space_solution,
+                            rref, solve, symmetric_signature)
 from dolharm.scalars import QI
 
 
@@ -51,6 +51,7 @@ def test_min_norm_solution_complex():
     m = [[QI(1), QI(0, 1)]]
     x = min_norm_solution(m, [QI(2)])
     assert x == [QI(1), QI(0, -1)]
+    assert row_space_solution(m, [QI(2)]) == x  # the Gram step without the checks
     # inconsistent system
     m2 = qm([[1, 1], [1, 1]])
     assert min_norm_solution(m2, [QI(0), QI(1)]) is None
@@ -86,3 +87,4 @@ def test_float_lstsq_residual():
     x, res = float_lstsq(m, np.array([1.0, 1.0], dtype=complex))
     assert abs(res - 1.0) < 1e-12
     assert abs(x[0] - 1.0) < 1e-12
+
