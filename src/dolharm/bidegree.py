@@ -4,11 +4,20 @@ An almost complex structure enters through a 2x4 complex matrix whose rows
 express the (1,0)-coframe phi^1, phi^2 in the real coframe e^1..e^4.  The
 stacked 4x4 matrix [P; conj(P)] must be invertible.
 
-The exterior differential of a complex-frame form is computed by one route
-only: change to the real frame, apply the structure equations, change back.
-The four bidegree components are then projections of d.  The component
-operators accept pure-type input only; mixed input is an error so that a
-missing projection surfaces instead of being silently absorbed.
+``_frame_matrices`` caches, per coframe, the stacked matrix and its exact
+inverse (plus their float copies).  A complex-frame form goes to the real
+frame by substituting each letter phi^i with its row of the stacked matrix;
+a real-frame form goes to the complex frame by substituting each e^i with its
+row of the inverse.  Neither direction inverts a matrix again.
+
+d of a complex basis word is computed once per (structure, coframe) and
+cached in its ``BidegreeCalculus``: substitute into the real frame, apply the
+structure equations, substitute back.  d of any other complex-frame form is
+the linear combination of those word differentials, and the four bidegree
+components are projections of it.  The component operators accept pure-type
+input only; mixed input is an error so that a missing projection surfaces
+instead of being silently absorbed.  ``calculus_for`` hands out one shared
+calculus per (structure, coframe).
 """
 from __future__ import annotations
 
@@ -17,7 +26,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import DegreeMismatchError, MixedBidegreeError, SingularMatrixError
-from .exterior import (DIM, FrameTag, InvariantForm, Word, change_frame,
+from .exterior import (DIM, FrameTag, InvariantForm, Word, substitute_letters,
                        words_of_degree)
 from .lie import LieStructure
 from .linalg import invert_matrix
@@ -105,9 +114,8 @@ def to_complex_frame(f: InvariantForm, coframe: AlmostComplexCoframe) -> Invaria
         return f
     if f.frame is not FrameTag.REAL:
         raise DegreeMismatchError("only real-frame forms convert to the complex frame")
-    stacked, _, stacked_f, _ = _frame_matrices(coframe)
-    mat = stacked_f if f.is_float else stacked
-    return change_frame(f, FrameTag.COMPLEX, mat)
+    _, inverse, _, inverse_f = _frame_matrices(coframe)
+    return substitute_letters(f, FrameTag.COMPLEX, inverse_f if f.is_float else inverse)
 
 
 def to_real_frame(f: InvariantForm, coframe: AlmostComplexCoframe) -> InvariantForm:
@@ -115,9 +123,8 @@ def to_real_frame(f: InvariantForm, coframe: AlmostComplexCoframe) -> InvariantF
         return f
     if f.frame is not FrameTag.COMPLEX:
         raise DegreeMismatchError("only complex-frame forms convert to the real frame")
-    _, inverse, _, inverse_f = _frame_matrices(coframe)
-    mat = inverse_f if f.is_float else inverse
-    return change_frame(f, FrameTag.REAL, mat)
+    stacked, _, stacked_f, _ = _frame_matrices(coframe)
+    return substitute_letters(f, FrameTag.REAL, stacked_f if f.is_float else stacked)
 
 
 class BidegreeCalculus:
@@ -223,3 +230,8 @@ class BidegreeCalculus:
     def complex_basis(self, p: int, q: int) -> list[InvariantForm]:
         words = [w for w in words_of_degree(p + q) if word_bidegree(w) == (p, q)]
         return [InvariantForm.basis(FrameTag.COMPLEX, w) for w in words]
+
+
+@lru_cache(maxsize=128)
+def calculus_for(lie: LieStructure, coframe: AlmostComplexCoframe) -> BidegreeCalculus:
+    return BidegreeCalculus(lie, coframe)

@@ -33,21 +33,22 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
-from .bidegree import AlmostComplexCoframe, BidegreeCalculus
+from .bidegree import AlmostComplexCoframe, calculus_for
 from .catalog import CatalogEntry
 from .cohomology import TOP_WORD, ce_cohomology, closed_form_basis
 from .errors import (BackendDisagreementError, DolharmError,
                      InternalInvariantError)
-from .exterior import FrameTag, InvariantForm, Word
+from .exterior import InvariantForm, Word
 from .hermitian import (ASDCoefficients, MetricParams, asd_form_scaled,
                         fundamental_form, hodge_star)
-from .lie import LieStructure
+from .lie import LieStructure, validate_d_squared
 from .linalg import float_lstsq, float_rank, kernel, row_space_solution, rref
 from .scalars import QI, to_complex
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -56,10 +57,7 @@ W21 = ((1, 2, 3), (1, 2, 4))            # basis (2,1) 3-forms
 W12 = ((1, 3, 4), (2, 3, 4))            # basis (1,2) 3-forms
 
 
-@lru_cache(maxsize=128)
 def _require_valid_structure(lie: LieStructure) -> None:
-    from .lie import validate_d_squared
-
     verdict = validate_d_squared(lie)
     if not verdict.ok:
         bad = ", ".join(f"d^2 e^{i} = {residual}" for i, residual in verdict.failures)
@@ -67,21 +65,17 @@ def _require_valid_structure(lie: LieStructure) -> None:
 
 
 @lru_cache(maxsize=128)
-def calculus_for(lie: LieStructure, coframe: AlmostComplexCoframe) -> BidegreeCalculus:
-    return BidegreeCalculus(lie, coframe)
-
-
-@lru_cache(maxsize=128)
 def _structure_tables(lie: LieStructure, coframe: AlmostComplexCoframe
                       ) -> tuple[tuple[QI, ...], ...]:
-    """The 4x4 table T: rows 4i*del on W21 then 4i*delbar on W12, columns W11."""
+    """The 4x4 table T: rows 4i*del on W21 then 4i*delbar on W12, columns W11.
+
+    d of a (1,1)-word has only (2,1)- and (1,2)-components in dimension 4, so
+    its W21 coefficients are del and its W12 coefficients delbar.
+    """
     calc = calculus_for(lie, coframe)
     four_i = QI(0, 4)
-    basis = [InvariantForm.basis(FrameTag.COMPLEX, w) for w in W11]
-    dels = [calc.del_(b).scaled(four_i) for b in basis]
-    delbars = [calc.delbar(b).scaled(four_i) for b in basis]
-    return (tuple(tuple(f.get(word) for f in dels) for word in W21)
-            + tuple(tuple(f.get(word) for f in delbars) for word in W12))
+    ds = [calc.d_basis_word(w) for w in W11]
+    return tuple(tuple(four_i * d.get(word) for d in ds) for word in W21 + W12)
 
 
 @dataclass(frozen=True)
@@ -106,6 +100,8 @@ class HarmonicSystem:
         return [r.rhs for r in self.rows]
 
     def to_numpy(self) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
         mat = np.array([[to_complex(c) for c in row.coeffs] for row in self.rows],
                        dtype=complex)
         vec = np.array([to_complex(r.rhs) for r in self.rows], dtype=complex)
@@ -222,6 +218,8 @@ def _decide_exact(system: HarmonicSystem, lie, coframe, tolerance) -> dict:
 
 
 def _decide_float(system: HarmonicSystem, lie, coframe, tolerance) -> dict:
+    import numpy as np
+
     mat, vec = system.to_numpy()
     rank_m = float_rank(mat, tolerance)
     rank_aug = float_rank(np.column_stack([mat, vec]) if mat.size else vec.reshape(-1, 1),
@@ -320,13 +318,14 @@ class AKVerdict:
 
 
 def _ak_kernel(lie: LieStructure, coframe: AlmostComplexCoframe) -> list[list[Fraction]]:
-    """Kernel of delbar(omega) = 0 as a subspace of x = (r^2, s^2, Re u, Im u)."""
-    calc = calculus_for(lie, coframe)
-    tables = {w: calc.delbar(InvariantForm.basis(FrameTag.COMPLEX, w)) for w in W11}
-    i = QI(0, 1)
+    """Kernel of delbar(omega) = 0 as a subspace of x = (r^2, s^2, Re u, Im u).
+
+    The delbar coefficients are the delbar rows of the structure table T.
+    """
+    four_i, i = QI(0, 4), QI(0, 1)
     rows: list[list[Fraction]] = []
-    for word in W12:
-        t = {w: tables[w].coeffs.get(word, QI(0)) for w in W11}
+    for t_row in _structure_tables(lie, coframe)[len(W21):]:
+        t = {w: c / four_i for w, c in zip(W11, t_row)}
         cols = [i * t[(1, 3)],
                 i * t[(2, 4)],
                 t[(1, 4)] - t[(2, 3)],

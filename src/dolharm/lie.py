@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from .errors import DegreeMismatchError
@@ -78,8 +79,12 @@ class DSquaredVerdict:
         return self.ok
 
 
+@lru_cache(maxsize=128)
 def validate_d_squared(lie: LieStructure) -> DSquaredVerdict:
-    """Check d(de^i) = 0 for i = 1..4; failures carry the nonzero 3-form."""
+    """Check d(de^i) = 0 for i = 1..4; failures carry the nonzero 3-form.
+
+    Cached per structure: the report, the decision and the cohomology all ask.
+    """
     failures = []
     for i in range(1, DIM + 1):
         residual = lie.d(lie.d_on_coframe(i))
@@ -91,14 +96,15 @@ def validate_d_squared(lie: LieStructure) -> DSquaredVerdict:
 def d_invariant(lie: LieStructure, f: InvariantForm, coframe=None) -> InvariantForm:
     """d on an invariant form in the real or complex frame.
 
-    Complex-frame input is routed through the real frame and needs the
-    almost complex coframe that defines the letters.
+    Complex-frame input needs the almost complex coframe that defines the
+    letters; it goes through the shared calculus of (lie, coframe), so the
+    differentials of its basis words are computed once.
     """
     if f.frame is FrameTag.REAL:
         return lie.d(f)
     if coframe is None:
         raise DegreeMismatchError(
             "complex-frame differentiation requires the almost complex coframe")
-    from .bidegree import BidegreeCalculus
+    from .bidegree import calculus_for
 
-    return BidegreeCalculus(lie, coframe).d(f)
+    return calculus_for(lie, coframe).d(f)

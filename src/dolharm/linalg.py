@@ -8,17 +8,18 @@ the arithmetic itself never leaves the exact ring.
 The floating helpers wrap numpy and implement the documented tolerance
 policy: singular values below ``rel_tol`` times the largest are treated as
 zero, and a least-squares residual below ``rel_tol * (1 + |v|)`` counts as
-solvable.
+solvable.  They import numpy when called, so exact-only use never loads it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import SingularMatrixError
 from .scalars import magnitude
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 Matrix = list[list]
@@ -198,6 +199,8 @@ def symmetric_signature(sym: Sequence[Sequence[Fraction]]) -> tuple[int, int, in
 
 
 def float_rank(m: np.ndarray, rel_tol: float) -> int:
+    import numpy as np
+
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
@@ -208,6 +211,8 @@ def float_rank(m: np.ndarray, rel_tol: float) -> int:
 
 def float_lstsq(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimum-norm least-squares solution and the residual 2-norm."""
+    import numpy as np
+
     if m.size == 0:
         return np.zeros(0, dtype=complex), float(np.linalg.norm(v))
     x, *_ = np.linalg.lstsq(m, v, rcond=None)

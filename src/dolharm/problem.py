@@ -35,8 +35,9 @@ from . import __version__
 from .bidegree import AlmostComplexCoframe
 from .catalog import CatalogEntry, catalog
 from .cohomology import ce_cohomology
-from .decision import (DEFAULT_TOLERANCE, almost_kahler_feasible, decide_h11,
-                       calculus_for, symplectic_feasible)
+from .decision import (DEFAULT_TOLERANCE, W12, W21, _structure_tables,
+                       almost_kahler_feasible, calculus_for, decide_h11,
+                       symplectic_feasible)
 from .errors import (CatalogError, MetricError, SingularMatrixError,
                      SpecParseError)
 from .exterior import FrameTag, InvariantForm
@@ -293,17 +294,18 @@ def validation_section(problem: Problem) -> dict:
 
 
 def structure_tables_section(problem: Problem) -> dict:
+    """d of phi^1, phi^2 and the columns of T as 4i*del / 4i*delbar forms."""
     calc = calculus_for(problem.lie, problem.coframe)
-    four_i = QI(0, 4)
-    names = {(1, 3): "phi^{1 1bar}", (1, 4): "phi^{1 2bar}",
-             (2, 3): "phi^{2 1bar}", (2, 4): "phi^{2 2bar}"}
+    table = _structure_tables(problem.lie, problem.coframe)
+    names = ("phi^{1 1bar}", "phi^{1 2bar}", "phi^{2 1bar}", "phi^{2 2bar}")
     tables = {"d": {}, "4i_del": {}, "4i_delbar": {}}
     for letter, label in ((1, "phi^1"), (2, "phi^2")):
         tables["d"][label] = str(calc.d_basis_word((letter,)))
-    for w, label in names.items():
-        basis = InvariantForm.basis(FrameTag.COMPLEX, w)
-        tables["4i_del"][label] = str(calc.del_(basis).scaled(four_i))
-        tables["4i_delbar"][label] = str(calc.delbar(basis).scaled(four_i))
+    for j, label in enumerate(names):
+        for key, words, rows in (("4i_del", W21, table[:len(W21)]),
+                                 ("4i_delbar", W12, table[len(W21):])):
+            column = dict(zip(words, (row[j] for row in rows)))
+            tables[key][label] = str(InvariantForm.build(FrameTag.COMPLEX, 3, column))
     return tables
 
 

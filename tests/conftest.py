@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from dolharm import FrameTag, InvariantForm, MetricParams, QI, catalog
+from dolharm import (AlmostComplexCoframe, FrameTag, InvariantForm, MetricParams, QI,
+                     catalog)
+from dolharm.errors import SingularMatrixError
 from dolharm.exterior import words_of_degree
 
 # default parameters used whenever a test just needs "some" instance of an entry
@@ -56,6 +58,17 @@ def random_metric(rng: random.Random) -> MetricParams:
     bound = r * s / 2
     u = QI(rand_fraction(rng, -1, 1) * bound, rand_fraction(rng, -1, 1) * bound)
     return MetricParams.from_rs(r, s, u)
+
+
+def random_coframe(rng: random.Random) -> AlmostComplexCoframe:
+    """A random almost complex coframe: two rows of small Gaussian rationals."""
+    while True:
+        rows = [[QI(rand_fraction(rng), rand_fraction(rng)) for _ in range(4)]
+                for _ in range(2)]
+        try:
+            return AlmostComplexCoframe.from_rows(rows)
+        except SingularMatrixError:
+            continue
 
 
 def random_form(rng: random.Random, frame: FrameTag, degree: int,

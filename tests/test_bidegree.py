@@ -5,13 +5,14 @@ import pytest
 
 from dolharm import catalog
 from dolharm.bidegree import (AlmostComplexCoframe, Bidegree, BidegreeCalculus,
-                              project, to_complex_frame, word_bidegree)
+                              _frame_matrices, project, to_complex_frame,
+                              to_real_frame, word_bidegree)
 from dolharm.errors import (DegreeMismatchError, MixedBidegreeError,
                             SingularMatrixError)
-from dolharm.exterior import FrameTag, InvariantForm, words_of_degree
+from dolharm.exterior import FrameTag, InvariantForm, change_frame, words_of_degree
 from dolharm.scalars import QI
 
-from conftest import default_entries, random_form
+from conftest import default_entries, random_coframe, random_form
 
 C, R = FrameTag.COMPLEX, FrameTag.REAL
 
@@ -212,3 +213,20 @@ def test_dc_equals_four_operator_sum():
                               - calc.del_(comp) - calc.mu(comp))
                     expected = expected + signed.scaled(i_unit)
                 assert calc.dc(f) == expected, (entry.key, degree, float_backend)
+
+
+def test_frame_changes_match_change_frame_route():
+    """to_complex_frame / to_real_frame substitute with the cached inverse /
+    stacked matrix; the generic change_frame route, which inverts the matrix
+    it is given, stays here as the reference."""
+    rng = random.Random(31)
+    coframes = ([entry.coframe for entry in default_entries()]
+                + [random_coframe(rng) for _ in range(6)])
+    for cf in coframes:
+        stacked, inverse, _, _ = _frame_matrices(cf)
+        for degree in range(5):
+            for _ in range(3):
+                f = random_form(rng, R, degree)
+                assert to_complex_frame(f, cf) == change_frame(f, C, stacked), (cf, f)
+                g = random_form(rng, C, degree)
+                assert to_real_frame(g, cf) == change_frame(g, R, inverse), (cf, g)

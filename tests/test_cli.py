@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dolharm
 from dolharm.cli import main
 from dolharm.problem import (canonical_problem, parse_problem,
                              reparse_canonical)
@@ -268,3 +274,32 @@ def test_internal_invariant_breach_exit_code(capsys, monkeypatch):
                              "--metric", "1,1,1/2,0", "--backend", "exact")
     assert code == 4 and not out
     assert "re-verification" in err
+
+
+def test_exact_runs_do_not_import_numpy():
+    """numpy belongs to the float backend alone: importing dolharm, an exact
+    report, the catalog and an AK scan leave it unloaded, and a decision on
+    the default backend "both" loads it."""
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        import dolharm
+        from dolharm.cli import main
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(list(argv)) == 0
+
+        run("report", "--entry", "secondary_kodaira", "--metric", "1,2,1/3,1/5",
+            "--backend", "exact")
+        run("catalog")
+        run("ak-scan", "--entry", "nilmanifold_I")
+        print("numpy" in sys.modules)
+        run("h11", "--entry", "secondary_kodaira", "--metric", "1,2,1/3,1/5",
+            "--backend", "both")
+        print("numpy" in sys.modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(dolharm.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]

@@ -18,16 +18,16 @@ import pytest
 
 from dolharm import catalog
 from dolharm.bidegree import AlmostComplexCoframe
-from dolharm.decision import (almost_kahler_feasible, assemble_system,
+from dolharm.decision import (W11, W12, almost_kahler_feasible, assemble_system,
                               calculus_for, decide_h11, symplectic_feasible,
                               verify_witness)
 from dolharm.errors import BackendDisagreementError, DolharmError
 from dolharm.exterior import FrameTag, InvariantForm
 from dolharm.hermitian import MetricParams, fundamental_form
-from dolharm.linalg import invert_matrix, min_norm_solution, rank
+from dolharm.linalg import invert_matrix, kernel, min_norm_solution, rank
 from dolharm.scalars import QI
 
-from conftest import DEFAULT_PARAMS, default_entries, random_metric
+from conftest import DEFAULT_PARAMS, default_entries, random_coframe, random_metric
 
 I = QI(0, 1)
 C = FrameTag.COMPLEX
@@ -518,14 +518,51 @@ def test_structure_caches_are_bounded():
     (inoue_sm's alpha) must not pile up in the per-structure caches."""
     from dolharm.bidegree import _frame_matrices
     from dolharm.cohomology import ce_cohomology
-    from dolharm.decision import _require_valid_structure, _structure_tables
+    from dolharm.decision import _structure_tables
+    from dolharm.lie import validate_d_squared
 
     m = MetricParams.from_rs(1, 1, QI(Fraction(1, 2), 0))
     builds = ([catalog("primary_kodaira_II", beta=Fraction(k, 7)) for k in range(1, 301)]
               + [catalog("inoue_sm", alpha=Fraction(k, 7), beta=1) for k in range(1, 131)])
     for entry in builds:
         decide_h11(entry.lie, entry.coframe, m, backend="exact", entry=entry)
-    for cache in (_frame_matrices, _require_valid_structure, ce_cohomology,
+    for cache in (_frame_matrices, validate_d_squared, ce_cohomology,
                   calculus_for, _structure_tables):
         info = cache.cache_info()
         assert info.maxsize == 128 and info.currsize == 128, (cache.__name__, info)
+
+
+def _reference_ak_kernel(calc) -> list[list[Fraction]]:
+    """The closedness kernel from calc.delbar, as _ak_kernel computed it
+    before it read the cached table T."""
+    tables = {w: calc.delbar(InvariantForm.basis(C, w)) for w in W11}
+    rows = []
+    for word in W12:
+        t = {w: tables[w].coeffs.get(word, QI(0)) for w in W11}
+        cols = [I * t[(1, 3)], I * t[(2, 4)], t[(1, 4)] - t[(2, 3)],
+                I * (t[(1, 4)] + t[(2, 3)])]
+        rows.append([c.re for c in cols])
+        rows.append([c.im for c in cols])
+    return kernel(rows, 4)
+
+
+def test_table_readers_match_operator_route():
+    """The report's 4i*del / 4i*delbar forms and the AK kernel are read off the
+    cached table T; the del / delbar operator route they replaced stays here
+    as the reference, on every entry and on random coframes."""
+    from dolharm.decision import _ak_kernel
+    from dolharm.problem import Options, Problem, structure_tables_section
+
+    rng = random.Random(37)
+    four_i = QI(0, 4)
+    labels = ("phi^{1 1bar}", "phi^{1 2bar}", "phi^{2 1bar}", "phi^{2 2bar}")
+    pairs = ([(entry.lie, entry.coframe, entry) for entry in default_entries()]
+             + [(entry.lie, random_coframe(rng), None) for entry in default_entries()])
+    for lie, cf, entry in pairs:
+        calc = calculus_for(lie, cf)
+        section = structure_tables_section(Problem(lie, cf, None, entry, Options()))
+        for w, label in zip(W11, labels):
+            basis = InvariantForm.basis(C, w)
+            assert section["4i_del"][label] == str(calc.del_(basis).scaled(four_i))
+            assert section["4i_delbar"][label] == str(calc.delbar(basis).scaled(four_i))
+        assert _ak_kernel(lie, cf) == _reference_ak_kernel(calc), (lie.name, cf)
