@@ -218,7 +218,11 @@ def _decide_exact(system: HarmonicSystem, lie, coframe, tolerance) -> dict:
 
 
 def _decide_float(system: HarmonicSystem, lie, coframe, tolerance) -> dict:
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError:
+        raise DolharmError("the float backend (--backend float or both) needs numpy, "
+                           "which is not installed; use --backend exact") from None
 
     mat, vec = system.to_numpy()
     rank_m = float_rank(mat, tolerance)

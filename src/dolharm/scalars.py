@@ -5,7 +5,9 @@ Two interchangeable scalar kinds flow through every computation:
 * :class:`QI` -- complex numbers with rational real and imaginary parts
   (Gaussian rationals).  This is the exact backend; all catalog structure
   constants, coframes and metric data are rational, so whole decisions run
-  without any rounding.
+  without any rounding.  A value is held as one integer triple
+  ``(n + m*i)/d`` over a common denominator, so each operation is a few
+  integer products and one gcd.
 * builtin ``complex`` -- the floating backend.
 
 Both support ``+``, ``-``, ``*``, ``/``, unary ``-``, ``conjugate()`` and
@@ -50,13 +52,25 @@ def exact_sqrt(x: Fraction) -> Fraction | None:
 
 
 class QI:
-    """Gaussian rational ``re + im*i`` with :class:`Fraction` components."""
+    """Gaussian rational ``(n + m*i)/d``, held as the integer triple ``(n, m, d)``.
 
-    __slots__ = ("re", "im")
+    The triple is canonical: ``d > 0`` and ``gcd(n, m, d) == 1``, so zero is
+    ``(0, 0, 1)`` and two values are equal exactly when their triples are.
+    ``re`` and ``im`` are read-only :class:`Fraction` views of ``n/d`` and
+    ``m/d``.
+    """
+
+    __slots__ = ("_t",)
 
     def __init__(self, re: Rationalish = 0, im: Rationalish = 0):
-        self.re = as_fraction(re)
-        self.im = as_fraction(im)
+        if type(re) is int and type(im) is int:
+            self._t = (re, im, 1)
+            return
+        a, b = as_fraction(re), as_fraction(im)
+        p, q = a.denominator, b.denominator
+        d = p // math.gcd(p, q) * q
+        # a and b are in lowest terms, so over their lcm gcd(n, m, d) is 1
+        self._t = (a.numerator * (d // p), b.numerator * (d // q), d)
 
     @staticmethod
     def of(value) -> "QI":
@@ -66,87 +80,97 @@ class QI:
             return QI(value)
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
-    def _coerced(self, other) -> "QI | None":
-        if isinstance(other, QI):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QI(other)
-        return None
+    @property
+    def re(self) -> Fraction:
+        n, _, d = self._t
+        return Fraction(n, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, m, d = self._t
+        return Fraction(m, d)
 
     def __add__(self, other):
-        o = self._coerced(other)
-        if o is None:
+        t = other._t if type(other) is QI else _triple(other)
+        if t is None:
             return NotImplemented
-        return QI(self.re + o.re, self.im + o.im)
+        n1, m1, d1 = self._t
+        n2, m2, d2 = t
+        if d1 == d2:
+            return _reduced(n1 + n2, m1 + m2, d1)
+        return _reduced(n1 * d2 + n2 * d1, m1 * d2 + m2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerced(other)
-        if o is None:
+        t = other._t if type(other) is QI else _triple(other)
+        if t is None:
             return NotImplemented
-        return QI(self.re - o.re, self.im - o.im)
+        return _sub(self._t, t)
 
     def __rsub__(self, other):
-        o = self._coerced(other)
-        if o is None:
+        t = _triple(other)
+        if t is None:
             return NotImplemented
-        return QI(o.re - self.re, o.im - self.im)
+        return _sub(t, self._t)
 
     def __mul__(self, other):
-        o = self._coerced(other)
-        if o is None:
+        t = other._t if type(other) is QI else _triple(other)
+        if t is None:
             return NotImplemented
-        return QI(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        n1, m1, d1 = self._t
+        n2, m2, d2 = t
+        return _reduced(n1 * n2 - m1 * m2, n1 * m2 + m1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerced(other)
-        if o is None:
+        t = other._t if type(other) is QI else _triple(other)
+        if t is None:
             return NotImplemented
-        d = o.abs2()
-        if d == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return QI((self.re * o.re + self.im * o.im) / d,
-                  (self.im * o.re - self.re * o.im) / d)
+        return _div(self._t, t)
 
     def __rtruediv__(self, other):
-        o = self._coerced(other)
-        if o is None:
+        t = _triple(other)
+        if t is None:
             return NotImplemented
-        return o / self
+        return _div(t, self._t)
 
     def __neg__(self):
-        return QI(-self.re, -self.im)
+        n, m, d = self._t
+        return _canonical(-n, -m, d)
 
     def __pos__(self):
         return self
 
     def conjugate(self) -> "QI":
-        return QI(self.re, -self.im)
+        n, m, d = self._t
+        return _canonical(n, -m, d)
 
     def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        n, m, d = self._t
+        return Fraction(n * n + m * m, d * d)
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._t[1] == 0
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return self._t != (0, 0, 1)
 
     def __eq__(self, other) -> bool:
-        o = self._coerced(other)
-        if o is None:
+        t = _triple(other)
+        if t is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._t == t
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self._t)
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, so this equals float(Fraction(n, d))
+        n, m, d = self._t
+        return complex(n / d, m / d)
 
     def __complex__(self) -> complex:
         return self.to_complex()
@@ -155,18 +179,66 @@ class QI:
         return f"QI({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         imtxt = "i" if mag == 1 else f"{mag}i"
-        return f"{self.re}{sign}{imtxt}"
+        return f"{re}{sign}{imtxt}"
+
+
+_new = object.__new__
+
+
+def _canonical(n: int, m: int, d: int) -> QI:
+    """QI from a triple that is already canonical."""
+    q = _new(QI)
+    q._t = (n, m, d)
+    return q
+
+
+def _reduced(n: int, m: int, d: int) -> QI:
+    """QI from a triple with ``d > 0``, divided by ``gcd(n, m, d)``."""
+    g = math.gcd(n, m, d)
+    if g != 1:
+        n, m, d = n // g, m // g, d // g
+    return _canonical(n, m, d)
+
+
+def _triple(x) -> "tuple[int, int, int] | None":
+    """Canonical triple of a QI, int or Fraction; None for any other type."""
+    if isinstance(x, QI):
+        return x._t
+    if isinstance(x, int):
+        return (int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return (x.numerator, 0, x.denominator)
+    return None
+
+
+def _sub(a, b) -> QI:
+    n1, m1, d1 = a
+    n2, m2, d2 = b
+    if d1 == d2:
+        return _reduced(n1 - n2, m1 - m2, d1)
+    return _reduced(n1 * d2 - n2 * d1, m1 * d2 - m2 * d1, d1 * d2)
+
+
+def _div(a, b) -> QI:
+    # (n1 + m1 i)/d1 / ((n2 + m2 i)/d2) = d2 (n1 + m1 i)(n2 - m2 i) / (d1 |n2 + m2 i|^2)
+    n1, m1, d1 = a
+    n2, m2, d2 = b
+    norm = n2 * n2 + m2 * m2
+    if norm == 0:
+        raise ZeroDivisionError("division by zero Gaussian rational")
+    return _reduced(d2 * (n1 * n2 + m1 * m2), d2 * (m1 * n2 - n1 * m2), d1 * norm)
 
 
 QI_ZERO = QI(0)
@@ -299,7 +371,8 @@ class RootExt:
                     factor = factor * S
                 slot = self._SLOT[((er + fr) % 2, (es + fs) % 2)]
                 out[slot] = out[slot] + factor
-        return RootExt.make(out, self.rad)
+        # products of normalized operands over the same radicands stay normalized
+        return RootExt(out, self.rad)
 
     __rmul__ = __mul__
 

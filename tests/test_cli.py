@@ -303,3 +303,27 @@ def test_exact_runs_do_not_import_numpy():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "True"]
+
+
+def test_float_backend_without_numpy_is_a_located_error():
+    """With numpy unavailable, a float-backend run exits 2 with an error line
+    that names the backend, not a traceback; an exact run still works."""
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["numpy"] = None  # makes "import numpy" fail
+        from dolharm.cli import main
+        sys.exit(main(sys.argv[1:]))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(dolharm.__file__).resolve().parents[1]))
+    argv = ["h11", "--entry", "secondary_kodaira", "--metric", "1,2,1/3,1/5"]
+    for backend in ([], ["--backend", "float"]):
+        done = subprocess.run([sys.executable, "-c", script, *argv, *backend], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+        assert "numpy" in done.stderr and "--backend exact" in done.stderr
+        assert not done.stdout
+    done = subprocess.run([sys.executable, "-c", script, *argv, "--backend", "exact"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "delta" in done.stdout
