@@ -43,8 +43,6 @@ def _add_common(parser: argparse.ArgumentParser, needs_metric: bool) -> None:
                         help="floating-backend tolerance (default 1e-9)")
     parser.add_argument("--b-minus", default=None, metavar="INT|ce|paper",
                         help="b^- provenance: integer override, 'ce' or 'paper'")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="RNG seed for randomized searches (default 0)")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the machine-readable JSON report")
 
@@ -60,8 +58,7 @@ def _parse_inline_params(pairs: list[str]) -> dict:
 
 
 def _problem_from_args(args, needs_metric: bool) -> Problem:
-    overrides = {"backend": args.backend, "tolerance": args.tolerance,
-                 "seed": args.seed}
+    overrides = {"backend": args.backend, "tolerance": args.tolerance}
     if args.b_minus is not None:
         b = args.b_minus
         if b.lstrip("+-").isdigit():

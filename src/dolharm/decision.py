@@ -20,16 +20,17 @@ one elimination of [M|v]: its pivots give rank M and rank [M|v], and with
 rank M = 3 its last column is the witness; only a rank-deficient M takes the
 minimum-norm route x = M^H z, (M M^H) z = v.
 
-The same module hosts the two feasibility checks that need no metric:
-``almost_kahler_feasible`` treats delbar(omega) = 0 as a real-linear system
-in (r^2, s^2, Re u, Im u) and searches its kernel for a point satisfying the
-positivity constraints, and ``symplectic_feasible`` looks for a closed
-invariant 2-form with nonzero square.
+The same module decides the two feasibility questions that need no metric,
+each by one congruence diagonalization of a rational quadratic form
+(``linalg.congruence_diagonal``).  ``almost_kahler_feasible`` treats
+delbar(omega) = 0 as a real-linear system in (r^2, s^2, Re u, Im u) and
+diagonalizes r^2 s^2 - |u|^2 on its kernel: a positive pivot gives a
+re-verified witness, and otherwise the inertia is the certificate.
+``symplectic_feasible`` diagonalizes the square's top coefficient on the
+closed invariant 2-forms, and a nonzero pivot gives its witness.
 """
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,7 +45,8 @@ from .exterior import InvariantForm, Word
 from .hermitian import (ASDCoefficients, MetricParams, asd_form_scaled,
                         fundamental_form, hodge_star)
 from .lie import LieStructure, validate_d_squared
-from .linalg import float_lstsq, float_rank, kernel, row_space_solution, rref
+from .linalg import (congruence_diagonal, float_lstsq, float_rank, kernel,
+                     row_space_solution, rref)
 from .scalars import QI, to_complex
 
 if TYPE_CHECKING:
@@ -314,11 +316,12 @@ def decide_h11(lie: LieStructure, coframe: AlmostComplexCoframe, m: MetricParams
 
 @dataclass(frozen=True)
 class AKVerdict:
-    status: str                       # "feasible" | "infeasible" | "unknown"
+    status: str                       # "feasible" | "infeasible"
     witness: Optional[MetricParams]
     certificate: Optional[str]
-    seed: int
-    samples_used: int
+    # bench/tracer.py still reads this from every verdict; the decision
+    # draws no samples
+    samples_used = 0
 
 
 def _ak_kernel(lie: LieStructure, coframe: AlmostComplexCoframe) -> list[list[Fraction]]:
@@ -343,61 +346,39 @@ def _positivity_ok(x: Sequence[Fraction]) -> bool:
     return x[0] > 0 and x[1] > 0 and x[0] * x[1] > x[2] * x[2] + x[3] * x[3]
 
 
-def almost_kahler_feasible(lie: LieStructure, coframe: AlmostComplexCoframe,
-                           *, seed: int = 0, budget: int = 10_000) -> AKVerdict:
-    """Search for an invariant metric with d omega = 0 compatible with the coframe.
+def almost_kahler_feasible(lie: LieStructure, coframe: AlmostComplexCoframe
+                           ) -> AKVerdict:
+    """Is there an invariant metric with d omega = 0 compatible with the coframe?
 
-    Closedness is linear in (r^2, s^2, Re u, Im u); feasibility additionally
-    needs r^2 > 0, s^2 > 0 and r^2 s^2 > |u|^2 on the kernel.  Verdicts:
-    ``infeasible`` when the kernel is trivial or forces r^2 = 0 or s^2 = 0
-    (a genuine certificate), ``feasible`` with a re-verified witness found by
-    deterministic small-integer combinations followed by seeded random ones,
-    otherwise ``unknown`` once the sample budget is spent.
+    In x = (r^2, s^2, Re u, Im u) the compatible metrics are the half r^2 > 0
+    of the cone Q(x) = r^2 s^2 - |u|^2 > 0, and the closed ones form the
+    subspace L of :func:`_ak_kernel`.  Since L = -L, a compatible closed metric
+    exists exactly when Q takes a positive value on L, that is when Q's Gram
+    matrix on a basis of L has a positive pivot.  The vector of the first one,
+    signed so that r^2 > 0, is the witness and is re-verified; with no positive
+    pivot the inertia of Q on L is the ``infeasible`` certificate.
     """
     _require_valid_structure(lie)
     basis = _ak_kernel(lie, coframe)
-    if not basis:
-        return AKVerdict("infeasible", None, "closedness admits only the zero solution",
-                         seed, 0)
-    for idx, label in ((0, "r^2"), (1, "s^2")):
-        if all(vec[idx] == 0 for vec in basis):
-            return AKVerdict(
-                "infeasible", None,
-                f"closedness forces {label} = 0, but the metric needs {label} > 0",
-                seed, 0)
-
-    calc = calculus_for(lie, coframe)
-
-    def check(coeffs) -> Optional[MetricParams]:
-        x = [sum(c * vec[k] for c, vec in zip(coeffs, basis)) for k in range(4)]
-        if not _positivity_ok(x):
-            return None
-        m = MetricParams.from_squares(x[0], x[1], QI(x[2], x[3]))
-        if not calc.d(fundamental_form(m)).is_zero:
-            raise InternalInvariantError(
-                "almost Kahler witness failed the closedness re-check")
-        return m
-
-    used = 0
-    small = itertools.product(range(-3, 4), repeat=len(basis))
-    for coeffs in small:
-        if used >= budget:
-            break
-        if not any(coeffs):
-            continue
-        used += 1
-        m = check(coeffs)
-        if m is not None:
-            return AKVerdict("feasible", m, None, seed, used)
-    rng = random.Random(seed)
-    while used < budget:
-        used += 1
-        coeffs = [Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in basis]
-        m = check(coeffs)
-        if m is not None:
-            return AKVerdict("feasible", m, None, seed, used)
-    return AKVerdict("unknown", None,
-                     "no witness found and no linear certificate applies", seed, used)
+    gram = [[(x[0] * y[1] + x[1] * y[0]) / 2 - x[2] * y[2] - x[3] * y[3]
+             for y in basis] for x in basis]
+    pivots = list(congruence_diagonal(gram))
+    coeffs = next((p for d, p in pivots if d > 0), None)
+    if coeffs is None:
+        neg = sum(d < 0 for d, _ in pivots)
+        return AKVerdict(
+            "infeasible", None,
+            "r^2 s^2 - |u|^2 on the closed metrics has inertia (positive, "
+            f"negative, zero) = (0, {neg}, {len(pivots) - neg}), so it is never "
+            "positive there")
+    x = [sum(c * vec[k] for c, vec in zip(coeffs, basis)) for k in range(4)]
+    if x[0] < 0:
+        x = [-v for v in x]
+    m = MetricParams.from_squares(x[0], x[1], QI(x[2], x[3]))
+    if not (_positivity_ok(x)
+            and calculus_for(lie, coframe).d(fundamental_form(m)).is_zero):
+        raise InternalInvariantError("almost Kahler witness failed re-verification")
+    return AKVerdict("feasible", m, None)
 
 
 # -- symplectic feasibility ----------------------------------------------------
@@ -414,37 +395,25 @@ def symplectic_feasible(lie: LieStructure) -> SymplecticVerdict:
     """Is there a closed invariant 2-form with nonzero square?
 
     The square's top coefficient is a quadratic form on the space of closed
-    2-forms; it vanishes identically exactly when its polarization does, so
-    scanning the basis and pairwise sums decides feasibility outright.
+    2-forms.  It vanishes identically exactly when its congruence
+    diagonalization has no nonzero pivot; otherwise the first such pivot's
+    vector is the witness.
     """
     _require_valid_structure(lie)
     basis = closed_form_basis(lie, 2)
-    if not basis:
-        return SymplecticVerdict("infeasible", None, "no closed invariant 2-forms")
 
     def top(f: InvariantForm, g: InvariantForm) -> Fraction:
         c = f.wedge(g).coeffs.get(TOP_WORD, QI(0))
         return c.re
 
-    n = len(basis)
-    gram = [[top(basis[i], basis[j]) for j in range(n)] for i in range(n)]
-    witness = None
-    for i in range(n):
-        if gram[i][i] != 0:
-            witness = basis[i]
-            break
-    if witness is None:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if gram[i][j] != 0:
-                    witness = basis[i] + basis[j]
-                    break
-            if witness is not None:
-                break
-    if witness is None:
+    gram = [[top(f, g) for g in basis] for f in basis]
+    coeffs = next((p for d, p in congruence_diagonal(gram) if d), None)
+    if coeffs is None:
         return SymplecticVerdict(
             "infeasible", None,
             "every closed invariant 2-form has vanishing square")
+    witness = sum((f.scaled(QI(c)) for c, f in zip(coeffs, basis) if c),
+                  start=InvariantForm.zero(basis[0].frame, 2))
     if not lie.d(witness).is_zero or not witness.wedge(witness).coeffs.get(TOP_WORD):
         raise InternalInvariantError("symplectic witness failed re-verification")
     return SymplecticVerdict("feasible", witness, "witness re-verified")

@@ -13,7 +13,7 @@ solvable.  They import numpy when called, so exact-only use never loads it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import SingularMatrixError
 from .scalars import magnitude
@@ -151,24 +151,27 @@ def row_space_solution(rows: Sequence[Sequence], rhs: Sequence):
     return matvec(mh, z)
 
 
-def symmetric_signature(sym: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of a rational symmetric matrix."""
+def congruence_diagonal(sym: Sequence[Sequence[Fraction]]
+                        ) -> Iterator[tuple[Fraction, list]]:
+    """Diagonalize a rational symmetric matrix S by congruence, P S P^T = diag(d).
+
+    Yields the pairs (d_i, P_i): the pivots in elimination order, then the
+    zero block, so that Q(P_i) = P_i S P_i^T = d_i and P (rational, held as
+    int and Fraction entries) is invertible.  A pivot
+    is the first nonzero active diagonal entry; when all of them vanish, the
+    first off-diagonal hook (i < j) turns e_i into e_i + e_j.  Each pair is
+    yielded before the elimination goes on, so a caller that needs only the
+    first suitable pivot stops the work there.
+    """
     n = len(sym)
     m = [[Fraction(x) for x in row] for row in sym]
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
     active = list(range(n))
-    pos = neg = 0
     while active:
         k = next((i for i in active if m[i][i] != 0), None)
         if k is None:
-            # all active diagonal entries vanish; look for an off-diagonal hook
-            hook = None
-            for i in active:
-                for j in active:
-                    if i < j and m[i][j] != 0:
-                        hook = (i, j)
-                        break
-                if hook:
-                    break
+            hook = next(((i, j) for i in active for j in active
+                         if i < j and m[i][j] != 0), None)
             if hook is None:
                 break
             i, j = hook
@@ -177,12 +180,10 @@ def symmetric_signature(sym: Sequence[Sequence[Fraction]]) -> tuple[int, int, in
                 m[i][c] += m[j][c]
             for r in range(n):
                 m[r][i] += m[r][j]
+            p[i] = [a + b for a, b in zip(p[i], p[j])]
             continue
         d = m[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
+        yield d, p[k]
         active.remove(k)
         for i in active:
             if m[i][k] != 0:
@@ -191,8 +192,16 @@ def symmetric_signature(sym: Sequence[Sequence[Fraction]]) -> tuple[int, int, in
                     m[i][j] -= f * m[k][j]
                 for j in range(n):
                     m[j][i] -= f * m[j][k]
-    zero = n - pos - neg
-    return pos, neg, zero
+                p[i] = [a - f * b for a, b in zip(p[i], p[k])]
+    for i in active:
+        yield Fraction(0), p[i]
+
+
+def symmetric_signature(sym: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
+    """(positive, negative, zero) inertia of a rational symmetric matrix."""
+    ds = [d for d, _ in congruence_diagonal(sym)]
+    pos, neg = sum(d > 0 for d in ds), sum(d < 0 for d in ds)
+    return pos, neg, len(ds) - pos - neg
 
 
 # -- floating-point counterparts -------------------------------------------

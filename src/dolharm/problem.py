@@ -6,7 +6,7 @@ A problem is a JSON document selecting either a catalog entry or a custom
     {
       "catalog": {"name": "inoue_sm", "params": {"alpha": "1", "beta": "0"}},
       "metric": {"r": "1", "s": "2", "u_re": "1/2", "u_im": "0"},
-      "options": {"backend": "both", "b_minus": "ce", "tolerance": 1e-9, "seed": 0}
+      "options": {"backend": "both", "b_minus": "ce", "tolerance": 1e-9}
     }
 
 or
@@ -21,8 +21,8 @@ or
 
 All numbers are rational strings ("p/q" or decimals) so the exact backend is
 fed unrounded input.  Reports echo the problem in canonical form, tag every
-verdict with the backend and tolerance that produced it, and record the RNG
-seed whenever a randomized search ran.
+verdict with the backend and tolerance that produced it.  The almost-Kahler
+and symplectic verdicts are exact decisions and take no options.
 """
 from __future__ import annotations
 
@@ -51,11 +51,10 @@ class Options:
     backend: str = "both"
     tolerance: float = DEFAULT_TOLERANCE
     b_minus: Any = "auto"
-    seed: int = 0
 
     def merged(self, overrides: Mapping[str, Any]) -> "Options":
         data = {"backend": self.backend, "tolerance": self.tolerance,
-                "b_minus": self.b_minus, "seed": self.seed}
+                "b_minus": self.b_minus}
         data.update({k: v for k, v in overrides.items() if v is not None})
         return Options(**data)
 
@@ -143,7 +142,7 @@ def parse_catalog_params(params: Mapping, where: str = "catalog.params") -> dict
 
 
 def parse_options(obj: Mapping, where: str = "options") -> Options:
-    known = {"backend", "tolerance", "b_minus", "seed"}
+    known = {"backend", "tolerance", "b_minus"}
     extra = set(obj) - known
     if extra:
         raise SpecParseError(where, f"unexpected field(s): {', '.join(sorted(extra))}")
@@ -162,10 +161,9 @@ def parse_options(obj: Mapping, where: str = "options") -> Options:
                              f"b^- override must be nonnegative, got {b_minus}")
     try:
         tolerance = float(obj.get("tolerance", DEFAULT_TOLERANCE))
-        seed = int(obj.get("seed", 0))
     except (TypeError, ValueError) as exc:
         raise SpecParseError(where, str(exc)) from None
-    return Options(backend=backend, tolerance=tolerance, b_minus=b_minus, seed=seed)
+    return Options(backend=backend, tolerance=tolerance, b_minus=b_minus)
 
 
 def parse_problem(doc: Mapping, require_metric: bool = False) -> Problem:
@@ -248,7 +246,7 @@ def canonical_problem(problem: Problem) -> dict:
                              "u_re": str(m.u.re), "u_im": str(m.u.im)}
     opts = problem.options
     doc["options"] = {"backend": opts.backend, "tolerance": opts.tolerance,
-                      "b_minus": opts.b_minus, "seed": opts.seed}
+                      "b_minus": opts.b_minus}
     return doc
 
 
@@ -371,16 +369,10 @@ def cohomology_section(problem: Problem) -> dict:
     }
 
 
-def ak_section(problem: Problem, options: Options) -> dict:
-    verdict = almost_kahler_feasible(problem.lie, problem.coframe,
-                                     seed=options.seed)
-    out = {
-        "status": verdict.status,
-        "certificate": verdict.certificate,
-        "seed": verdict.seed,
-        "samples_used": verdict.samples_used,
-        "witness": None,
-    }
+def ak_section(problem: Problem) -> dict:
+    verdict = almost_kahler_feasible(problem.lie, problem.coframe)
+    out = {"status": verdict.status, "certificate": verdict.certificate,
+           "witness": None}
     if verdict.witness is not None:
         m = verdict.witness
         out["witness"] = {"r2": str(m.r2), "s2": str(m.s2),
@@ -405,7 +397,6 @@ def build_run_report(problem: Problem, options: Options,
         "tool": {"name": "dolharm", "version": __version__},
         "backend": options.backend,
         "tolerance": options.tolerance,
-        "seed": options.seed,
         "problem": canonical_problem(
             Problem(problem.lie, problem.coframe, problem.metric, problem.entry,
                     options)),
@@ -428,7 +419,7 @@ def build_run_report(problem: Problem, options: Options,
     if "cohomology" in sections:
         report["cohomology"] = cohomology_section(problem)
     if "ak" in sections:
-        report["almost_kahler"] = ak_section(problem, options)
+        report["almost_kahler"] = ak_section(problem)
     if "symplectic" in sections:
         report["symplectic"] = symplectic_section(problem)
     return report
@@ -479,8 +470,7 @@ def render_human(report: Mapping) -> str:
     lines = []
     tool = report["tool"]
     lines.append(f"{tool['name']} {tool['version']}  "
-                 f"[backend={report['backend']} tolerance={report['tolerance']} "
-                 f"seed={report['seed']}]")
+                 f"[backend={report['backend']} tolerance={report['tolerance']}]")
     prob = report["problem"]
     if "catalog" in prob:
         params = prob["catalog"].get("params") or {}
@@ -556,7 +546,7 @@ def render_human(report: Mapping) -> str:
                      f"u={w['u_re']}+({w['u_im']})i")
         elif a["certificate"]:
             extra = f" ({a['certificate']})"
-        lines.append(f"almost Kahler: {a['status']}{extra} [seed={a['seed']}]")
+        lines.append(f"almost Kahler: {a['status']}{extra}")
     if "symplectic" in report:
         s = report["symplectic"]
         w = f" witness {s['witness']}" if s["witness"] else f" ({s['note']})"

@@ -326,7 +326,8 @@ class RootExt:
                 raise ValueError("mixing RootExt values over different radicands")
             return other
         if isinstance(other, (QI, int, Fraction)):
-            return RootExt.make((QI.of(other), 0, 0, 0), self.rad)
+            # a rational element over normalized radicands is already normalized
+            return RootExt((QI.of(other), QI_ZERO, QI_ZERO, QI_ZERO), self.rad)
         return None
 
     def __add__(self, other):

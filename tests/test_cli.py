@@ -109,7 +109,8 @@ def test_ak_scan_json(capsys):
     doc = json.loads(out)
     assert doc["almost_kahler"]["status"] == "infeasible"
     assert doc["symplectic"]["status"] == "feasible"
-    assert doc["almost_kahler"]["seed"] == 0
+    assert "seed" not in doc and "seed" not in doc["problem"]["options"]
+    assert "seed" not in doc["almost_kahler"] and "samples_used" not in doc["almost_kahler"]
 
 
 def test_report_human_tags_backend(capsys):
@@ -183,7 +184,7 @@ def test_problem_file_roundtrip(tmp_path):
     doc = {
         "catalog": {"name": "inoue_sm", "params": {"alpha": "1", "beta": "-2"}},
         "metric": {"r": "3/2", "s": "1", "u_re": "1/4", "u_im": "-1/8"},
-        "options": {"backend": "exact", "b_minus": "ce", "seed": 5},
+        "options": {"backend": "exact", "b_minus": "ce"},
     }
     problem = parse_problem(doc)
     echo = canonical_problem(problem)
@@ -193,6 +194,10 @@ def test_problem_file_roundtrip(tmp_path):
     assert again.metric == problem.metric
     assert again.options == problem.options
     assert canonical_problem(again) == echo
+    doc["options"]["seed"] = 5
+    with pytest.raises(SpecParseError) as err:
+        parse_problem(doc)
+    assert err.value.location == "options" and "seed" in err.value.message
 
 
 def test_problem_parse_errors_are_located():

@@ -1,12 +1,13 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dolharm.errors import SingularMatrixError
-from dolharm.linalg import (float_lstsq, float_rank, invert_matrix, kernel,
-                            matmul, min_norm_solution, rank, row_space_solution,
-                            rref, solve, symmetric_signature)
+from dolharm.linalg import (congruence_diagonal, float_lstsq, float_rank,
+                            invert_matrix, kernel, matmul, min_norm_solution, rank,
+                            row_space_solution, rref, solve, symmetric_signature)
 from dolharm.scalars import QI
 
 
@@ -74,6 +75,43 @@ def test_min_norm_solution_complex():
 ])
 def test_symmetric_signature(matrix, expected):
     assert symmetric_signature(matrix) == expected
+
+
+def _random_symmetric(rng, n):
+    """Small rational symmetric matrices; a zero diagonal forces the hook step."""
+    m = [[Fraction(0)] * n for _ in range(n)]
+    zero_diagonal = rng.random() < 0.5
+    for i in range(n):
+        for j in range(i, n):
+            if (i == j and zero_diagonal) or rng.random() < 0.3:
+                continue
+            m[i][j] = m[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return m
+
+
+def test_congruence_basis_diagonalizes():
+    """P S P^T = diag(d) exactly, P is invertible, and the nonzero pivots come
+    first, in the order the elimination takes them."""
+    rng = random.Random(11)
+    hooks = singular = 0
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        sym = _random_symmetric(rng, n)
+        pairs = list(congruence_diagonal(sym))
+        d = [di for di, _ in pairs]
+        p = [pi for _, pi in pairs]
+        assert len(pairs) == n
+        assert matmul(matmul(p, sym), [list(col) for col in zip(*p)]) == [
+            [d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        assert rank([[QI(x) for x in row] for row in p]) == n
+        nonzero = [bool(di) for di in d]
+        assert nonzero == sorted(nonzero, reverse=True)
+        pos, neg = sum(di > 0 for di in d), sum(di < 0 for di in d)
+        assert symmetric_signature(sym) == (pos, neg, n - pos - neg)
+        # a first pivot that is not a unit vector came from the hook e_i -> e_i + e_j
+        hooks += bool(p) and sum(x != 0 for x in p[0]) > 1
+        singular += 0 < nonzero.count(False) < n
+    assert hooks and singular
 
 
 def test_float_rank_tolerance_policy():

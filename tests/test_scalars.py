@@ -105,6 +105,10 @@ class TestRootExt:
             for z in (x + y, x - y, -x, x * y, x * x, x * q, q * x, 3 * x):
                 assert z.parts == RootExt.make(z.parts, rad).parts
                 assert z.rad == rad
+            for c in (q, 3, rand_fraction(rng)):
+                coerced = x._coerced(c)
+                assert coerced.parts == RootExt.make((c, 0, 0, 0), rad).parts
+                assert coerced.rad == RootExt.make((c, 0, 0, 0), rad).rad
 
     def test_conjugate_acts_on_coefficients(self):
         x = RootExt.make((QI(1, 1), QI(0, 2), 0, 0), self.rad)
