@@ -19,7 +19,7 @@ from .decision import (AKVerdict, DecisionReport, HarmonicSystem, SymplecticVerd
 from .errors import (BackendDisagreementError, CatalogError, DolharmError,
                      MetricError, SpecParseError)
 from .exterior import (FrameTag, InvariantForm, change_frame, sign_of_merge, wedge)
-from .hermitian import (ASDCoefficients, MetricParams, asd_form, asd_form_scaled,
+from .hermitian import (ASDCoefficients, MetricParams, asd_form_scaled,
                         fundamental_form, gauduchon_residual, hodge_star,
                         hodge_star_via_unitary, unitary_coframe, volume_form)
 from .lie import LieStructure, d_invariant, validate_d_squared
@@ -32,7 +32,7 @@ __all__ = [
     "CatalogError", "CohomologyReport", "DecisionReport", "DolharmError",
     "FrameTag", "HarmonicSystem", "InvariantForm", "LieStructure", "MetricError",
     "MetricParams", "QI", "RootExt", "SpecParseError", "SymplecticVerdict",
-    "almost_kahler_feasible", "asd_form", "asd_form_scaled", "assemble_system",
+    "almost_kahler_feasible", "asd_form_scaled", "assemble_system",
     "catalog", "catalog_names", "ce_cohomology", "change_frame", "d_invariant",
     "decide_h11", "fundamental_form", "gauduchon_residual", "hodge_star",
     "hodge_star_via_unitary", "project", "sign_of_merge", "symplectic_feasible",

@@ -5,7 +5,7 @@ express the (1,0)-coframe phi^1, phi^2 in the real coframe e^1..e^4.  The
 stacked 4x4 matrix [P; conj(P)] must be invertible.
 
 ``_frame_matrices`` caches, per coframe, the stacked matrix and its exact
-inverse (plus their float copies).  A complex-frame form goes to the real
+inverse.  A complex-frame form goes to the real
 frame by substituting each letter phi^i with its row of the stacked matrix;
 a real-frame form goes to the complex frame by substituting each e^i with its
 row of the inverse.  Neither direction inverts a matrix again.
@@ -14,7 +14,8 @@ d of a complex basis word is computed once per (structure, coframe) and
 cached in its ``BidegreeCalculus``: substitute into the real frame, apply the
 structure equations, substitute back.  d of any other complex-frame form is
 the linear combination of those word differentials, and the four bidegree
-components are projections of it.  The component operators accept pure-type
+components are projections of it; the (p,q) type of each word is read from
+the table in :mod:`dolharm.exterior`.  The component operators accept pure-type
 input only; mixed input is an error so that a missing projection surfaces
 instead of being silently absorbed.  ``calculus_for`` hands out one shared
 calculus per (structure, coframe).
@@ -27,10 +28,10 @@ from typing import Iterable
 
 from .errors import DegreeMismatchError, MixedBidegreeError, SingularMatrixError
 from .exterior import (DIM, FrameTag, InvariantForm, Word, substitute_letters,
-                       words_of_degree)
+                       word_bidegree)
 from .lie import LieStructure
 from .linalg import invert_matrix
-from .scalars import QI, to_complex
+from .scalars import QI, QI_I
 
 
 @dataclass(frozen=True)
@@ -62,9 +63,7 @@ def _frame_matrices(cf: AlmostComplexCoframe):
     except SingularMatrixError:
         raise SingularMatrixError(
             "phi rows and their conjugates do not form a coframe") from None
-    stacked_f = [[to_complex(x) for x in row] for row in stacked]
-    inverse_f = [[to_complex(x) for x in row] for row in inverse]
-    return stacked, inverse, stacked_f, inverse_f
+    return stacked, inverse
 
 
 @dataclass(frozen=True)
@@ -82,10 +81,6 @@ class Bidegree:
 
     def as_tuple(self) -> tuple[int, int]:
         return (self.p, self.q)
-
-
-def word_bidegree(word: Word) -> tuple[int, int]:
-    return (sum(1 for x in word if x <= 2), sum(1 for x in word if x > 2))
 
 
 def project(f: InvariantForm, bidegree, coframe: AlmostComplexCoframe | None = None
@@ -114,8 +109,7 @@ def to_complex_frame(f: InvariantForm, coframe: AlmostComplexCoframe) -> Invaria
         return f
     if f.frame is not FrameTag.REAL:
         raise DegreeMismatchError("only real-frame forms convert to the complex frame")
-    _, inverse, _, inverse_f = _frame_matrices(coframe)
-    return substitute_letters(f, FrameTag.COMPLEX, inverse_f if f.is_float else inverse)
+    return substitute_letters(f, FrameTag.COMPLEX, _frame_matrices(coframe)[1])
 
 
 def to_real_frame(f: InvariantForm, coframe: AlmostComplexCoframe) -> InvariantForm:
@@ -123,8 +117,7 @@ def to_real_frame(f: InvariantForm, coframe: AlmostComplexCoframe) -> InvariantF
         return f
     if f.frame is not FrameTag.COMPLEX:
         raise DegreeMismatchError("only complex-frame forms convert to the real frame")
-    stacked, _, stacked_f, _ = _frame_matrices(coframe)
-    return substitute_letters(f, FrameTag.REAL, stacked_f if f.is_float else stacked)
+    return substitute_letters(f, FrameTag.REAL, _frame_matrices(coframe)[0])
 
 
 class BidegreeCalculus:
@@ -137,8 +130,8 @@ class BidegreeCalculus:
     def __init__(self, lie: LieStructure, coframe: AlmostComplexCoframe):
         self.lie = lie
         self.coframe = coframe
+        # bench/tracer.py reads this cache by name
         self._d_word: dict[Word, InvariantForm] = {}
-        self._d_word_float: dict[Word, InvariantForm] = {}
 
     # -- frame plumbing ------------------------------------------------------
 
@@ -151,14 +144,12 @@ class BidegreeCalculus:
     # -- exterior differential -----------------------------------------------
 
     def d_basis_word(self, word: Word, float_backend: bool = False) -> InvariantForm:
-        """d(phi^word) computed through the real frame; cached."""
+        """d(phi^word) computed through the real frame; cached.
+
+        ``float_backend`` is ignored: bench/tracer.py still calls
+        ``fn(calc, word, float_backend)``.
+        """
         word = tuple(word)
-        if float_backend:
-            cached = self._d_word_float.get(word)
-            if cached is None:
-                cached = self.d_basis_word(word).to_float()
-                self._d_word_float[word] = cached
-            return cached
         cached = self._d_word.get(word)
         if cached is None:
             basis = InvariantForm.basis(FrameTag.COMPLEX, word)
@@ -171,11 +162,12 @@ class BidegreeCalculus:
             return self.lie.d(f)
         if f.frame is not FrameTag.COMPLEX:
             raise DegreeMismatchError("d is defined on real- or complex-frame forms")
-        out = InvariantForm.zero(FrameTag.COMPLEX, f.degree + 1)
-        use_float = f.is_float
+        out: dict[Word, object] = {}
         for word, c in f.coeffs.items():
-            out = out + self.d_basis_word(word, use_float).scaled(c)
-        return out
+            for w, x in self.d_basis_word(word).coeffs.items():
+                v = c * x
+                out[w] = out[w] + v if w in out else v
+        return InvariantForm.build(FrameTag.COMPLEX, f.degree + 1, out)
 
     # -- bidegree components ---------------------------------------------------
 
@@ -212,24 +204,17 @@ class BidegreeCalculus:
         return self._component(f, -1, +2)
 
     def dc(self, f: InvariantForm) -> InvariantForm:
-        """d^c = -J^{-1} d J = i(mubar + delbar - del - mu), componentwise: one d
-        per (p,q)-component, kept where q grew (mubar, delbar), negated where p grew."""
+        """d^c = -J^{-1} d J = i(mubar + delbar - del - mu), wordwise: d of each
+        (p,q)-word, kept where q grew (mubar, delbar), negated where p grew."""
         if f.frame is not FrameTag.COMPLEX:
             raise DegreeMismatchError("d^c acts on complex-frame forms")
-        i_unit = 1j if f.is_float else QI(0, 1)
-        out = InvariantForm.zero(FrameTag.COMPLEX, f.degree + 1)
-        for (p, q) in sorted({word_bidegree(w) for w in f.coeffs}):
-            df = self.d(project(f, (p, q)))
-            signed = {w: c if word_bidegree(w)[1] > q else -c
-                      for w, c in df.coeffs.items()}
-            out = out + InvariantForm(FrameTag.COMPLEX, df.degree, signed).scaled(i_unit)
-        return out
-
-    # -- convenience -------------------------------------------------------------
-
-    def complex_basis(self, p: int, q: int) -> list[InvariantForm]:
-        words = [w for w in words_of_degree(p + q) if word_bidegree(w) == (p, q)]
-        return [InvariantForm.basis(FrameTag.COMPLEX, w) for w in words]
+        out: dict[Word, object] = {}
+        for word, c in f.coeffs.items():
+            q = word_bidegree(word)[1]
+            for w, x in self.d_basis_word(word).coeffs.items():
+                v = c * x if word_bidegree(w)[1] > q else -(c * x)
+                out[w] = out[w] + v if w in out else v
+        return InvariantForm.build(FrameTag.COMPLEX, f.degree + 1, out).scaled(QI_I)
 
 
 @lru_cache(maxsize=128)

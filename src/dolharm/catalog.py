@@ -67,9 +67,6 @@ class CatalogEntry:
     h11_predicate: Callable[[MetricParams], bool] = field(repr=False, compare=False)
     ak_metric_predicate: Callable[[MetricParams], bool] = field(repr=False, compare=False)
 
-    def param_map(self) -> dict[str, QI]:
-        return dict(self.params)
-
 
 CATALOG_NAMES = (
     "secondary_kodaira",

@@ -18,7 +18,12 @@ any witness by direct evaluation in the form algebra, and reports
 h11 = b^- + delta under an explicit b^- provenance.  The exact backend runs
 one elimination of [M|v]: its pivots give rank M and rank [M|v], and with
 rank M = 3 its last column is the witness; only a rank-deficient M takes the
-minimum-norm route x = M^H z, (M M^H) z = v.
+minimum-norm route x = M^H z, (M M^H) z = v.  The float backend is a numpy
+evaluation of the same system: it scales M to unit columns and v to unit
+norm, which makes it blind to the metric's scale, decides delta from the two
+SVD ranks, and re-verifies the exact rational value of its least-squares
+witness with the same exact ``verify_witness``; that exact residual is what
+it reports.
 
 The same module decides the two feasibility questions that need no metric,
 each by one congruence diagonalization of a rational quadratic form
@@ -47,7 +52,7 @@ from .hermitian import (ASDCoefficients, MetricParams, asd_form_scaled,
 from .lie import LieStructure, validate_d_squared
 from .linalg import (congruence_diagonal, float_lstsq, float_rank, kernel,
                      row_space_solution, rref)
-from .scalars import QI, to_complex
+from .scalars import QI, QI_I, to_complex
 
 if TYPE_CHECKING:
     import numpy as np
@@ -161,15 +166,14 @@ class DecisionReport:
 
 
 def verify_witness(lie: LieStructure, coframe: AlmostComplexCoframe,
-                   m: MetricParams, scaled, float_backend: bool = False
-                   ) -> tuple[InvariantForm, InvariantForm]:
-    """Residual forms (i d^c gamma - d omega, star gamma + gamma) for a witness."""
+                   m: MetricParams, scaled) -> tuple[InvariantForm, InvariantForm]:
+    """Residual forms (i d^c gamma - d omega, star gamma + gamma) for an exact
+    witness (A, B', C'), computed in the form algebra."""
     calc = calculus_for(lie, coframe)
     a, bp, cp = scaled
-    gamma = asd_form_scaled(m, a, bp, cp, float_backend=float_backend)
-    omega = fundamental_form(m, float_backend=float_backend)
-    i_unit = 1j if float_backend else QI(0, 1)
-    res_dc = calc.dc(gamma).scaled(i_unit) - calc.d(omega)
+    gamma = asd_form_scaled(m, a, bp, cp)
+    omega = fundamental_form(m)
+    res_dc = calc.dc(gamma).scaled(QI_I) - calc.d(omega)
     res_star = hodge_star(gamma, m) + gamma
     return res_dc, res_star
 
@@ -227,16 +231,22 @@ def _decide_float(system: HarmonicSystem, lie, coframe, tolerance) -> dict:
                            "which is not installed; use --backend exact") from None
 
     mat, vec = system.to_numpy()
+    # r -> lam r, s -> lam s, u -> lam^2 u scales each column of M and v
+    # uniformly, so on unit columns and a unit v the ranks do not see the scale
+    col = np.linalg.norm(mat, axis=0)
+    col[col == 0] = 1.0
+    scale = float(np.linalg.norm(vec)) or 1.0
+    mat, vec = mat / col, vec / scale
     rank_m = float_rank(mat, tolerance)
-    rank_aug = float_rank(np.column_stack([mat, vec]) if mat.size else vec.reshape(-1, 1),
-                          tolerance)
-    x, residual = float_lstsq(mat, vec)
-    solvable = residual <= tolerance * (1.0 + float(np.linalg.norm(vec)))
-    out = {"rank_m": rank_m, "rank_aug": rank_aug, "delta": int(solvable)}
-    if solvable:
-        res_dc, res_star = verify_witness(lie, coframe, system.metric,
-                                          tuple(x), float_backend=True)
-        out.update(witness_scaled=tuple(complex(v) for v in x),
+    rank_aug = float_rank(np.column_stack([mat, vec]), tolerance)
+    out = {"rank_m": rank_m, "rank_aug": rank_aug, "delta": int(rank_m == rank_aug)}
+    if out["delta"]:
+        y, _ = float_lstsq(mat, vec)
+        x = tuple(complex(v) for v in y * scale / col)
+        # each double is an exact rational: re-verify that value exactly
+        exact = tuple(QI(Fraction(v.real), Fraction(v.imag)) for v in x)
+        res_dc, res_star = verify_witness(lie, coframe, system.metric, exact)
+        out.update(witness_scaled=x,
                    residual_dc=res_dc.max_abs(), residual_star=res_star.max_abs())
     else:
         out.update(witness_scaled=None, residual_dc=0.0, residual_star=0.0)
@@ -257,9 +267,12 @@ def decide_h11(lie: LieStructure, coframe: AlmostComplexCoframe, m: MetricParams
 
     The system comes from :func:`assemble_system`.  The exact backend decides
     delta = [rank M == rank [M|v]] from a single elimination of [M|v] and
-    reads the witness off it (minimum-norm solve only when rank M < 3); the
-    float backend uses SVD ranks and a least-squares residual.  Both
-    re-verify every witness, and a failed re-check raises
+    reads the witness off it (minimum-norm solve only when rank M < 3).  The
+    float backend scales M to unit columns and v to unit norm, decides
+    delta = [rank M == rank [M|v]] from the two SVD ranks of that system, and
+    takes its witness from least squares.  Both re-verify their witness
+    exactly in the form algebra (the float one at the exact rational value
+    of its doubles), and a failed exact re-check raises
     :class:`InternalInvariantError`.
 
     ``backend`` is "exact", "float" or "both"; "both" runs the two and raises
@@ -269,6 +282,9 @@ def decide_h11(lie: LieStructure, coframe: AlmostComplexCoframe, m: MetricParams
     """
     if backend not in ("exact", "float", "both"):
         raise DolharmError(f"invalid backend {backend!r}")
+    # outside (0, 1), or nan, the float ranks no longer depend on the system
+    if not 0 < tolerance < 1:
+        raise DolharmError(f"tolerance must lie in (0, 1), got {tolerance}")
     _require_valid_structure(lie)
     b_used, provenance, b_ce, b_ref = _resolve_b_minus(b_minus, entry, lie)
     system = assemble_system(lie, coframe, m)

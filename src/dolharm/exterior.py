@@ -8,11 +8,21 @@ are the integers 1..4; their meaning depends on the frame tag:
   conjugates of 1, 2)
 * ``UNITARY``  psi1 < psi2 < conj(psi1) < conj(psi2)
 
-All signs flow from :func:`sign_of_merge`.  Zero forms keep their frame and
-degree so operator compositions stay total; a wedge whose degree exceeds 4
-returns the canonical zero form of the full degree, and its
-``vanishes_by_degree`` property records that the vanishing is forced by the
-dimension rather than by cancellation.
+This module is the one place that knows the 16 basis words of Lambda(R^4).
+At import it indexes them once into three tables: the merge table (a
+disjoint pair of words -> the merged word and the sign of the merge), the
+conjugation table (a word -> the word of its barred letters and the sign of
+sorting them) and each word's (p,q) type.  :func:`wedge`,
+:meth:`InvariantForm.conjugated`, :meth:`InvariantForm.bidegree`,
+:func:`word_bidegree`, :func:`sign_of_merge` and the validation of a form's
+words read those tables; nothing sorts letters per call.
+
+Coefficients are exact scalars (``QI``; ``RootExt`` in the unitary
+cross-check of the Hodge star).  Zero forms keep their frame and degree so
+operator compositions stay total; a wedge whose degree exceeds 4 returns the
+canonical zero form of the full degree, and its ``vanishes_by_degree``
+property records that the vanishing is forced by the dimension rather than
+by cancellation.
 """
 from __future__ import annotations
 
@@ -23,7 +33,7 @@ from typing import Iterable, Mapping, Sequence, Tuple
 
 from .errors import DegreeMismatchError, FrameMismatchError
 from .linalg import invert_matrix
-from .scalars import QI, to_complex
+from .scalars import QI, QI_ZERO, to_complex
 
 Word = Tuple[int, ...]
 
@@ -46,52 +56,54 @@ _LETTER_NAMES = {
 _CONJ_LETTER = {1: 3, 2: 4, 3: 1, 4: 2}
 
 
+def word_and_sign(letters: Sequence[int]) -> tuple[Word | None, int]:
+    """Sorted word of a letter sequence and the sign of the sorting
+    permutation; (None, 0) when a letter repeats.  Used to build the tables
+    below (and the Hodge star's index table) at import, never per call."""
+    if len(set(letters)) != len(letters):
+        return None, 0
+    inversions = sum(1 for i, a in enumerate(letters) for b in letters[i + 1:] if a > b)
+    return tuple(sorted(letters)), -1 if inversions % 2 else 1
+
+
+# the 16 basis words of Lambda(R^4), by degree, and the tables read per call
+_WORDS_BY_DEGREE = tuple(tuple(combinations(range(1, DIM + 1), k)) for k in range(DIM + 1))
+_WORD_SETS = tuple(frozenset(words) for words in _WORDS_BY_DEGREE)
+_WORDS = tuple(w for words in _WORDS_BY_DEGREE for w in words)
+# _MERGE[w1][w2] = (sorted w1 + w2, sign of the merge) for disjoint w1, w2
+_MERGE = {w1: {w2: word_and_sign(w1 + w2) for w2 in _WORDS if not set(w1) & set(w2)}
+          for w1 in _WORDS}
+# word of the barred letters and the sign of sorting them, in complex-type frames
+_CONJ = {w: word_and_sign(tuple(_CONJ_LETTER[x] for x in w)) for w in _WORDS}
+# (p, q) type in complex-type frames: letters 1, 2 are unbarred, 3, 4 barred
+_TYPE = {w: (sum(1 for x in w if x <= 2), sum(1 for x in w if x > 2)) for w in _WORDS}
+
+
 def words_of_degree(k: int) -> tuple[Word, ...]:
     if k < 0:
         raise DegreeMismatchError(f"negative degree {k}")
     if k > DIM:
         return ()
-    return tuple(combinations(range(1, DIM + 1), k))
-
-
-def sort_word(letters: Sequence[int]) -> tuple[Word | None, int]:
-    """Sort letters into a basis word; returns (word, sign), (None, 0) on repeats."""
-    letters = list(letters)
-    sign = 1
-    # insertion sort; counts transpositions of adjacent letters
-    for i in range(1, len(letters)):
-        j = i
-        while j > 0 and letters[j - 1] > letters[j]:
-            letters[j - 1], letters[j] = letters[j], letters[j - 1]
-            sign = -sign
-            j -= 1
-        if j > 0 and letters[j - 1] == letters[j]:
-            return None, 0
-    return tuple(letters), sign
+    return _WORDS_BY_DEGREE[k]
 
 
 def sign_of_merge(w1: Word, w2: Word) -> int:
     """Sign of merging two sorted words, 0 when they share a letter."""
-    if set(w1) & set(w2):
-        return 0
-    inversions = sum(1 for a in w1 for b in w2 if a > b)
-    return -1 if inversions % 2 else 1
+    merged = _MERGE[tuple(w1)].get(tuple(w2))
+    return merged[1] if merged else 0
 
 
-def merge_words(w1: Word, w2: Word) -> tuple[Word | None, int]:
-    s = sign_of_merge(w1, w2)
-    if s == 0:
-        return None, 0
-    return tuple(sorted(w1 + w2)), s
+def word_bidegree(word: Word) -> tuple[int, int]:
+    """(p, q) type of a basis word in a complex-type frame."""
+    return _TYPE[tuple(word)]
 
 
-def _validate_word(word: Word, degree: int) -> None:
+def _word_error(word: Word, degree: int) -> DegreeMismatchError:
     if len(word) != degree:
-        raise DegreeMismatchError(f"word {word} does not have degree {degree}")
+        return DegreeMismatchError(f"word {word} does not have degree {degree}")
     if any(not 1 <= x <= DIM for x in word):
-        raise DegreeMismatchError(f"word {word} has letters outside 1..{DIM}")
-    if any(word[i] >= word[i + 1] for i in range(len(word) - 1)):
-        raise DegreeMismatchError(f"word {word} is not strictly increasing")
+        return DegreeMismatchError(f"word {word} has letters outside 1..{DIM}")
+    return DegreeMismatchError(f"word {word} is not strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -109,8 +121,9 @@ class InvariantForm:
             raise DegreeMismatchError(
                 f"degree {self.degree} exceeds the dimension; only the zero form exists"
             )
-        for word in self.coeffs:
-            _validate_word(word, self.degree)
+        if self.coeffs and not self.coeffs.keys() <= _WORD_SETS[self.degree]:
+            bad = next(w for w in self.coeffs if w not in _WORD_SETS[self.degree])
+            raise _word_error(bad, self.degree)
 
     # -- constructors ------------------------------------------------------
 
@@ -145,26 +158,17 @@ class InvariantForm:
         return self.degree > DIM
 
     def get(self, word: Word):
-        return self.coeffs.get(tuple(word), QI(0) if not self.is_float else 0j)
-
-    @property
-    def is_float(self) -> bool:
-        return any(isinstance(c, (float, complex)) for c in self.coeffs.values())
+        return self.coeffs.get(tuple(word), QI_ZERO)
 
     def items(self):
         return sorted(self.coeffs.items())
 
     def bidegree(self) -> tuple[int, int] | None:
         """(p, q) when the form has pure type in a complex-type frame, else None."""
-        if self.frame is FrameTag.REAL:
+        if self.frame is FrameTag.REAL or not self.coeffs:
             return None
-        seen = {(sum(1 for x in w if x <= 2), sum(1 for x in w if x > 2))
-                for w in self.coeffs}
-        if not seen:
-            return None
-        if len(seen) == 1:
-            return seen.pop()
-        return None
+        seen = {_TYPE[w] for w in self.coeffs}
+        return seen.pop() if len(seen) == 1 else None
 
     # -- arithmetic --------------------------------------------------------
 
@@ -205,14 +209,9 @@ class InvariantForm:
                 {w: c.conjugate() for w, c in self.coeffs.items()})
         out: dict[Word, object] = {}
         for w, c in self.coeffs.items():
-            word, sign = sort_word([_CONJ_LETTER[x] for x in w])
-            val = c.conjugate() if sign > 0 else -(c.conjugate())
-            out[word] = out[word] + val if word in out else val
-        return InvariantForm.build(self.frame, self.degree, out)
-
-    def to_float(self) -> "InvariantForm":
-        return InvariantForm.build(self.frame, self.degree,
-                                   {w: to_complex(c) for w, c in self.coeffs.items()})
+            word, sign = _CONJ[w]
+            out[word] = c.conjugate() if sign > 0 else -(c.conjugate())
+        return InvariantForm(self.frame, self.degree, out)
 
     def max_abs(self) -> float:
         if not self.coeffs:
@@ -238,13 +237,13 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
         return InvariantForm.zero(a.frame, degree)
     out: dict[Word, object] = {}
     for w1, c1 in a.coeffs.items():
+        merges = _MERGE[w1]
         for w2, c2 in b.coeffs.items():
-            word, sign = merge_words(w1, w2)
-            if word is None:
+            merged = merges.get(w2)
+            if merged is None:
                 continue
-            val = c1 * c2
-            if sign < 0:
-                val = -val
+            word, sign = merged
+            val = c1 * c2 if sign > 0 else -(c1 * c2)
             out[word] = out[word] + val if word in out else val
     return InvariantForm.build(a.frame, degree, out)
 
@@ -286,12 +285,6 @@ def change_frame(f: InvariantForm, target: FrameTag, basis_matrix) -> InvariantF
     return substitute_letters(f, target, inv)
 
 
-def format_scalar(c) -> str:
-    if isinstance(c, complex):
-        return format(c, "g")
-    return str(c)
-
-
 def format_form(f: InvariantForm) -> str:
     if f.is_zero:
         return "0"
@@ -303,7 +296,7 @@ def format_form(f: InvariantForm) -> str:
             wtxt = f"e^{{{''.join(str(x) for x in word)}}}" if word else "1"
         else:
             wtxt = f"{symbol}^{{{''.join(names[x] for x in word)}}}" if word else "1"
-        ctxt = format_scalar(c)
+        ctxt = str(c)
         if ctxt == "1" and word:
             parts.append(wtxt)
         elif ctxt == "-1" and word:

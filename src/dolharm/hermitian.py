@@ -25,9 +25,12 @@ makes the whole family Gaussian-rational:
         + ( i A conj(u) + C') phi^{2 1bar}.
 
 The Hodge star is implemented from the coefficient formula for the star of a
-(p,q)-form in a (1,0)-coframe with Gram matrix g (volume form omega^2/2); a
-second, independent implementation transports through the unitary coframe and
-exists purely as a cross-check.
+(p,q)-form in a (1,0)-coframe with Gram matrix g (volume form omega^2/2).
+The formula's index combinations, words and signs depend only on (p,q), so
+they are indexed once at import (``_STAR_INDEX``); a call multiplies the
+g^{-1} entries the table names.  A second, independent implementation
+transports through the unitary coframe and exists purely as a cross-check.
+Every scalar is exact: QI, and RootExt in the unitary coframe.
 """
 from __future__ import annotations
 
@@ -38,10 +41,9 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .errors import MetricError, MixedBidegreeError
-from .exterior import (FrameTag, InvariantForm, sort_word,
-                       substitute_letters)
+from .exterior import FrameTag, InvariantForm, substitute_letters, word_and_sign
 from .linalg import invert_matrix
-from .scalars import QI, RootExt, as_fraction, to_complex
+from .scalars import QI, QI_I, QI_ONE, QI_ZERO, RootExt, as_fraction
 
 
 @dataclass(frozen=True)
@@ -102,15 +104,7 @@ class MetricParams:
     def det_g(self) -> Fraction:
         return self.tau2
 
-    # floating views
-    @property
-    def r(self) -> float:
-        return math.sqrt(float(self.r2))
-
-    @property
-    def s(self) -> float:
-        return math.sqrt(float(self.s2))
-
+    # floating view, for the unscaled witness B = B'/tau, C = C'/tau
     @property
     def tau(self) -> float:
         return math.sqrt(float(self.tau2))
@@ -136,48 +130,25 @@ class ASDCoefficients:
     C: complex
 
 
-def fundamental_form(m: MetricParams, float_backend: bool = False) -> InvariantForm:
+def fundamental_form(m: MetricParams) -> InvariantForm:
     """omega in the phi-coframe: a real (1,1)-form."""
-    if float_backend:
-        u = m.u.to_complex()
-        coeffs = {(1, 3): 1j * float(m.r2), (2, 4): 1j * float(m.s2),
-                  (1, 4): u, (2, 3): -u.conjugate()}
-    else:
-        coeffs = {(1, 3): QI(0, m.r2), (2, 4): QI(0, m.s2),
-                  (1, 4): m.u, (2, 3): -m.u.conjugate()}
+    coeffs = {(1, 3): QI(0, m.r2), (2, 4): QI(0, m.s2),
+              (1, 4): m.u, (2, 3): -m.u.conjugate()}
     return InvariantForm.build(FrameTag.COMPLEX, 2, coeffs)
 
 
-def asd_form_scaled(m: MetricParams, A, Bp, Cp, float_backend: bool = False
-                    ) -> InvariantForm:
+def asd_form_scaled(m: MetricParams, A, Bp, Cp) -> InvariantForm:
     """gamma(A, B', C') with the tau-absorbed coefficients; Gaussian-rational."""
-    if float_backend:
-        A, Bp, Cp = complex(A), complex(Bp), complex(Cp)
-        u = m.u.to_complex()
-        r2, s2 = float(m.r2), float(m.s2)
-        i = 1j
-        uu = abs(u) ** 2
-    else:
-        A, Bp, Cp = QI.of(A), QI.of(Bp), QI.of(Cp)
-        u = m.u
-        r2, s2 = m.r2, m.s2
-        i = QI(0, 1)
-        uu = u.abs2()
-    ub = u.conjugate()
+    A, Bp, Cp = QI.of(A), QI.of(Bp), QI.of(Cp)
+    u, ub, i = m.u, m.u.conjugate(), QI_I
     coeffs = {
-        (1, 3): A * r2,
-        (2, 4): (A * (2 * uu - r2 * s2) + i * (Bp * ub - Cp * u)) * (1 / r2 if float_backend else QI(Fraction(1) / r2)),
+        (1, 3): A * m.r2,
+        (2, 4): (A * (2 * u.abs2() - m.r2 * m.s2) + i * (Bp * ub - Cp * u))
+        * QI(1 / m.r2),
         (1, 4): -(i * A * u) + Bp,
         (2, 3): i * A * ub + Cp,
     }
     return InvariantForm.build(FrameTag.COMPLEX, 2, coeffs)
-
-
-def asd_form(m: MetricParams, coef: ASDCoefficients) -> InvariantForm:
-    """gamma(A, B, C) with the unscaled coefficients (floating backend)."""
-    tau = m.tau
-    return asd_form_scaled(m, complex(coef.A), complex(coef.B) * tau,
-                           complex(coef.C) * tau, float_backend=True)
 
 
 def asd_basis_scaled(m: MetricParams) -> tuple[InvariantForm, InvariantForm, InvariantForm]:
@@ -201,99 +172,88 @@ def unitary_coframe(m: MetricParams) -> list[list[RootExt]]:
             [RootExt.rational(0, rad), tau * inv_r]]
 
 
-def unitary_coframe_float(m: MetricParams) -> list[list[complex]]:
-    r, tau = m.r, m.tau
-    ub = m.u.conjugate().to_complex()
-    return [[complex(r), 1j * ub / r], [0j, tau / r]]
+@lru_cache(maxsize=256)
+def _unitary_substitutions(m: MetricParams):
+    """(phi letters in psi letters, psi letters in phi letters), cached per metric.
 
-
-def _unitary_stacked(m: MetricParams, float_backend: bool):
-    """4x4 matrix of (psi^1, psi^2, conj psi^1, conj psi^2) in phi-letters."""
-    top = unitary_coframe_float(m) if float_backend else unitary_coframe(m)
-    if float_backend:
-        zero = 0j
-        conj_rows = [[x.conjugate() for x in row] for row in top]
-    else:
-        rad = (m.r2, m.tau2)
-        zero = RootExt.rational(0, rad)
-        conj_rows = [[x.conjugate() for x in row] for row in top]
-    return [
+    The second is the 4x4 matrix of (psi^1, psi^2, conj psi^1, conj psi^2) in
+    phi-letters."""
+    top = unitary_coframe(m)
+    zero = RootExt.rational(0, (m.r2, m.tau2))
+    conj_rows = [[x.conjugate() for x in row] for row in top]
+    stacked = [
         [top[0][0], top[0][1], zero, zero],
         [top[1][0], top[1][1], zero, zero],
         [zero, zero, conj_rows[0][0], conj_rows[0][1]],
         [zero, zero, conj_rows[1][0], conj_rows[1][1]],
     ]
-
-
-@lru_cache(maxsize=256)
-def _unitary_substitutions(m: MetricParams, float_backend: bool):
-    """(phi letters in psi letters, psi letters in phi letters), cached per metric."""
-    stacked = _unitary_stacked(m, float_backend)
     return invert_matrix(stacked), stacked
 
 
 # -- Hodge star ---------------------------------------------------------------
 
 
-def _perm_sign(seq: list[int]) -> int:
-    inversions = sum(1 for a in range(len(seq)) for b in range(a + 1, len(seq))
-                     if seq[a] > seq[b])
-    return -1 if inversions % 2 else 1
+def _star_index(p: int, q: int) -> tuple:
+    """Index table of the star on (p,q)-forms in a frame with inverse Gram g.
 
-
-def _star_with_gram(f: InvariantForm, g_inv, det_g, one) -> InvariantForm:
-    """Star of a pure (p,q)-form in a complex-type frame with Gram matrix g."""
-    bd = f.bidegree()
-    if bd is None and not f.is_zero:
-        raise MixedBidegreeError("the Hodge star needs a pure-bidegree form")
-    if f.is_zero:
-        p = q = 0
-        if f.degree:
-            # degree fixes p+q; the output degree is all that matters
-            p = min(f.degree, 2)
-            q = f.degree - p
-    else:
-        p, q = bd
-    n = 2
-    # i^n (-1)^{n(n-1)/2 + pq} det(g) reduces to (-1)^{pq} det(g) for n = 2
-    prefactor = det_g if (p * q) % 2 == 0 else -det_g
-    out: dict = {}
+    For n = 2 the star sends the raised coefficient psi^{abar_p b_q} of each
+    pair (A_p, B_q) to the word of the complementary letters (B_q^c unbarred,
+    A_p^c barred), with the sign eps of the permutation (1, 2, 1bar, 2bar) ->
+    (A_p, B_q bar, rest, rest bar), the sign of sorting the output word, and
+    i^n (-1)^{n(n-1)/2 + pq} = (-1)^{pq}.  One entry per output word:
+    (word, sign, terms); each term is (input word, sign of sorting it, index
+    pairs (row, column) of its g^{-1} factors).
+    """
     full = (1, 2)
+    entries = []
     for a_idx in combinations(full, p):
         comp_a = tuple(x for x in full if x not in a_idx)
         for b_idx in combinations(full, q):
             comp_b = tuple(x for x in full if x not in b_idx)
-            # raised coefficient psi^{abar_p b_q}
-            raised = None
+            terms = []
             for gammas in product(full, repeat=p):
                 for lams in product(full, repeat=q):
-                    word, sign = sort_word(list(gammas) + [x + 2 for x in lams])
+                    word, sign = word_and_sign(gammas + tuple(x + 2 for x in lams))
                     if word is None:
                         continue
-                    c = f.coeffs.get(word)
-                    if not c:
-                        continue
-                    factor = one
-                    for ak, gk in zip(a_idx, gammas):
-                        factor = factor * g_inv[ak - 1][gk - 1]
-                    for lk, bk in zip(lams, b_idx):
-                        factor = factor * g_inv[lk - 1][bk - 1]
-                    term = factor * c
-                    if sign < 0:
-                        term = -term
-                    raised = term if raised is None else raised + term
-            if raised is None or not raised:
-                continue
-            # epsilon: permutation (1, 2, 1bar, 2bar) -> (A_p, B_q bar, rest, rest bar)
+                    pairs = ([(ak - 1, gk - 1) for ak, gk in zip(a_idx, gammas)]
+                             + [(lk - 1, bk - 1) for lk, bk in zip(lams, b_idx)])
+                    terms.append((word, sign, tuple(pairs)))
             order = ([x - 1 for x in a_idx] + [x + 1 for x in b_idx]
                      + [x - 1 for x in comp_a] + [x + 1 for x in comp_b])
-            eps = _perm_sign(order)
-            word_out, ssign = sort_word(list(comp_b) + [x + 2 for x in comp_a])
-            val = prefactor * raised
-            if eps * ssign < 0:
-                val = -val
-            out[word_out] = out[word_out] + val if word_out in out else val
-    return InvariantForm.build(f.frame, 2 * n - f.degree, out)
+            eps = word_and_sign(order)[1]
+            word_out, ssign = word_and_sign(comp_b + tuple(x + 2 for x in comp_a))
+            sign_out = eps * ssign * (-1 if (p * q) % 2 else 1)
+            entries.append((word_out, sign_out, tuple(terms)))
+    return tuple(entries)
+
+
+_STAR_INDEX = {(p, q): _star_index(p, q) for p in range(3) for q in range(3)}
+
+
+def _star_with_gram(f: InvariantForm, g_inv, det_g) -> InvariantForm:
+    """Star of a pure (p,q)-form in a complex-type frame with Gram matrix g."""
+    if f.is_zero:
+        return InvariantForm.zero(f.frame, 4 - f.degree)
+    bd = f.bidegree()
+    if bd is None:
+        raise MixedBidegreeError("the Hodge star needs a pure-bidegree form")
+    coeffs = f.coeffs
+    out: dict = {}
+    for word_out, sign_out, terms in _STAR_INDEX[bd]:
+        raised = None
+        for word, sign, pairs in terms:
+            term = coeffs.get(word)
+            if not term:
+                continue
+            for row, col in pairs:
+                term = g_inv[row][col] * term
+            if sign < 0:
+                term = -term
+            raised = term if raised is None else raised + term
+        if raised:
+            out[word_out] = det_g * raised if sign_out > 0 else -(det_g * raised)
+    return InvariantForm.build(f.frame, 4 - f.degree, out)
 
 
 def hodge_star(f: InvariantForm, m: MetricParams) -> InvariantForm:
@@ -303,42 +263,31 @@ def hodge_star(f: InvariantForm, m: MetricParams) -> InvariantForm:
     """
     if f.frame is not FrameTag.COMPLEX:
         raise MixedBidegreeError("hodge_star expects a phi-coframe form")
-    if f.is_float:
-        g_inv = [[to_complex(x) for x in row] for row in m.g_inv]
-        return _star_with_gram(f, g_inv, complex(float(m.det_g)), 1.0 + 0j)
-    return _star_with_gram(f, m.g_inv, QI(m.det_g), QI(1))
+    return _star_with_gram(f, m.g_inv, QI(m.det_g))
+
+
+_IDENTITY = ((QI_ONE, QI_ZERO), (QI_ZERO, QI_ONE))
 
 
 def hodge_star_via_unitary(f: InvariantForm, m: MetricParams) -> InvariantForm:
     """Cross-check star: transport to the unitary coframe, star there, return.
 
-    In the unitary coframe the Gram matrix is the identity.  The exact path
-    carries the root factors r and tau in the RootExt ring and the result is
-    certified rational before conversion back.
+    In the unitary coframe the Gram matrix is the identity.  The root factors
+    r and tau are carried in the RootExt ring and the result is certified
+    rational before conversion back.
     """
     if f.frame is not FrameTag.COMPLEX:
         raise MixedBidegreeError("hodge_star_via_unitary expects a phi-coframe form")
-    float_backend = f.is_float
-    phi_in_psi, psi_in_phi = _unitary_substitutions(m, float_backend)
-    if float_backend:
-        ident = [[1.0 + 0j if a == b else 0j for b in range(2)] for a in range(2)]
-        lift = f
-        det, one = 1.0 + 0j, 1.0 + 0j
-    else:
-        rad = (m.r2, m.tau2)
-        ident = [[QI(1), QI(0)], [QI(0), QI(1)]]
-        lift = InvariantForm.build(
-            f.frame, f.degree,
-            {w: RootExt.make((c, 0, 0, 0), rad) for w, c in f.coeffs.items()})
-        det, one = QI(1), QI(1)
+    phi_in_psi, psi_in_phi = _unitary_substitutions(m)
+    rad = (m.r2, m.tau2)
+    lift = InvariantForm.build(
+        f.frame, f.degree,
+        {w: RootExt.make((c, 0, 0, 0), rad) for w, c in f.coeffs.items()})
     to_psi = substitute_letters(lift, FrameTag.UNITARY, phi_in_psi)
-    starred = _star_with_gram(to_psi, ident, det, one)
+    starred = _star_with_gram(to_psi, _IDENTITY, QI_ONE)
     back = substitute_letters(starred, FrameTag.COMPLEX, psi_in_phi)
-    if float_backend:
-        return back
-    coeffs = {}
-    for w, c in back.coeffs.items():
-        coeffs[w] = c.rational_value() if isinstance(c, RootExt) else c
+    coeffs = {w: c.rational_value() if isinstance(c, RootExt) else c
+              for w, c in back.coeffs.items()}
     return InvariantForm.build(FrameTag.COMPLEX, back.degree, coeffs)
 
 
@@ -350,15 +299,9 @@ def volume_form(m: MetricParams) -> InvariantForm:
 def inner_product_density(f: InvariantForm, m: MetricParams):
     """<f,f> as the coefficient c in f wedge star(conj f) = c vol."""
     pairing = f.wedge(hodge_star(f.conjugated(), m))
-    c = pairing.coeffs.get((1, 2, 3, 4))
-    if c is None:
-        return QI(0) if not f.is_float else 0j
-    tau2 = QI(m.tau2) if not f.is_float else complex(float(m.tau2))
-    return c / tau2
+    return pairing.get((1, 2, 3, 4)) / QI(m.tau2)
 
 
-def gauduchon_residual(calc, m: MetricParams, float_backend: bool = False
-                       ) -> InvariantForm:
+def gauduchon_residual(calc, m: MetricParams) -> InvariantForm:
     """del delbar omega; identically zero for every invariant metric here."""
-    omega = fundamental_form(m, float_backend)
-    return calc.del_(calc.delbar(omega))
+    return calc.del_(calc.delbar(fundamental_form(m)))

@@ -5,10 +5,10 @@ supporting field operations and truthiness (``QI``, ``Fraction``,
 ``RootExt``).  Pivots are chosen by floating magnitude purely as a heuristic;
 the arithmetic itself never leaves the exact ring.
 
-The floating helpers wrap numpy and implement the documented tolerance
-policy: singular values below ``rel_tol`` times the largest are treated as
-zero, and a least-squares residual below ``rel_tol * (1 + |v|)`` counts as
-solvable.  They import numpy when called, so exact-only use never loads it.
+The floating helpers wrap numpy.  ``float_rank`` implements the documented
+tolerance policy: singular values below ``rel_tol`` times the largest are
+treated as zero.  They import numpy when called, so exact-only use never
+loads it.
 """
 from __future__ import annotations
 

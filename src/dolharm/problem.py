@@ -212,10 +212,6 @@ def load_problem(path: str, require_metric: bool = False) -> Problem:
 # -- canonical echo -----------------------------------------------------------
 
 
-def _qi_str(value: QI) -> str:
-    return str(value)
-
-
 def _qi_json(value: QI) -> dict:
     return {"re": str(value.re), "im": str(value.im)}
 

@@ -1,19 +1,17 @@
-"""Scalar backends for the form algebra.
+"""Exact scalars for the form algebra.
 
-Two interchangeable scalar kinds flow through every computation:
-
-* :class:`QI` -- complex numbers with rational real and imaginary parts
-  (Gaussian rationals).  This is the exact backend; all catalog structure
-  constants, coframes and metric data are rational, so whole decisions run
-  without any rounding.  A value is held as one integer triple
-  ``(n + m*i)/d`` over a common denominator, so each operation is a few
-  integer products and one gcd.
-* builtin ``complex`` -- the floating backend.
-
-Both support ``+``, ``-``, ``*``, ``/``, unary ``-``, ``conjugate()`` and
-truthiness (nonzero test), which is everything the generic form code uses.
-Mixing the two raises ``TypeError`` on purpose: a float leaking into an
-exact computation is a bug, not a convenience.
+:class:`QI` -- complex numbers with rational real and imaginary parts
+(Gaussian rationals) -- is the scalar of every form.  All catalog structure
+constants, coframes and metric data are rational, so whole decisions run
+without any rounding.  A value is held as one integer triple ``(n + m*i)/d``
+over a common denominator, so each operation is a few integer products and
+one gcd.  It supports ``+``, ``-``, ``*``, ``/``, unary ``-``,
+``conjugate()`` and truthiness (nonzero test), which is everything the form
+code uses.  Mixing it with ``float`` or ``complex`` raises ``TypeError`` on
+purpose: a float leaking into an exact computation is a bug, not a
+convenience.  The float backend of the decision works on numpy copies of
+the assembled system (:func:`to_complex`) and hands its witness back as the
+exact rational value of its doubles.
 
 :class:`RootExt` adjoins square roots of up to two positive rationals to
 ``QI``.  It exists only for the code paths where a frame change genuinely
@@ -246,22 +244,10 @@ QI_ONE = QI(1)
 QI_I = QI(0, 1)
 
 
-def qi(re: Rationalish = 0, im: Rationalish = 0) -> QI:
-    return QI(re, im)
-
-
-def is_exact_scalar(x) -> bool:
-    return isinstance(x, (QI, RootExt))
-
-
 def to_complex(x) -> complex:
     if isinstance(x, (QI, RootExt)):
         return x.to_complex()
     return complex(x)
-
-
-def conj(x):
-    return x.conjugate()
 
 
 def magnitude(x) -> float:

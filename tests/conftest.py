@@ -72,13 +72,13 @@ def random_coframe(rng: random.Random) -> AlmostComplexCoframe:
 
 
 def random_form(rng: random.Random, frame: FrameTag, degree: int,
-                float_backend: bool = False) -> InvariantForm:
+                as_complex: bool = False) -> InvariantForm:
     coeffs = {}
     for word in words_of_degree(degree):
         if rng.random() < 0.25:
             continue
         c = QI(rand_fraction(rng), rand_fraction(rng))
-        coeffs[word] = c.to_complex() if float_backend else c
+        coeffs[word] = c.to_complex() if as_complex else c
     return InvariantForm.build(frame, degree, coeffs)
 
 

@@ -270,7 +270,7 @@ def test_internal_invariant_breach_exit_code(capsys, monkeypatch):
     import dolharm.decision as decision
     from dolharm.exterior import FrameTag, InvariantForm
 
-    def broken_verify(lie, coframe, m, scaled, float_backend=False):
+    def broken_verify(lie, coframe, m, scaled):
         bad = InvariantForm.basis(FrameTag.COMPLEX, (1, 2, 3))
         return bad, InvariantForm.zero(FrameTag.COMPLEX, 2)
 

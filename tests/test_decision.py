@@ -297,6 +297,22 @@ def test_backend_disagreement_raises():
                    tolerance=1e-30)
 
 
+def test_float_verdict_does_not_depend_on_scale():
+    """delta is invariant under r -> lam r, s -> lam s, u -> lam^2 u; the
+    float backend decides on unit columns and a unit right-hand side, so
+    "both" agrees with "exact" from lam = 1e-8 to 1e8 on every entry."""
+    for entry in default_entries():
+        want = None
+        for k in range(-8, 9):
+            lam = Fraction(10) ** k
+            m = MetricParams.from_rs(lam, 2 * lam, QI(lam * lam / 3, lam * lam / 5))
+            exact = decide_h11(entry.lie, entry.coframe, m, backend="exact", entry=entry)
+            both = decide_h11(entry.lie, entry.coframe, m, backend="both", entry=entry)
+            assert both.delta == exact.delta, (entry.key, k)
+            want = exact.delta if want is None else want
+            assert exact.delta == want, (entry.key, k)
+
+
 def test_invalid_policy_and_backend():
     entry = catalog("secondary_kodaira")
     m = MetricParams.from_rs(1, 1, 0)
@@ -304,6 +320,9 @@ def test_invalid_policy_and_backend():
         decide_h11(entry.lie, entry.coframe, m, entry=entry, b_minus="bogus")
     with pytest.raises(DolharmError):
         decide_h11(entry.lie, entry.coframe, m, entry=entry, backend="quantum")
+    for tolerance in (0.0, -1e-9, 1.0, float("inf"), float("nan")):
+        with pytest.raises(DolharmError, match="tolerance"):
+            decide_h11(entry.lie, entry.coframe, m, entry=entry, tolerance=tolerance)
     with pytest.raises(DolharmError):
         decide_h11(entry.lie, entry.coframe, m, b_minus="paper")  # no entry
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from dolharm.errors import DegreeMismatchError, FrameMismatchError, SingularMatrixError
 from dolharm.exterior import (FrameTag, InvariantForm, change_frame, sign_of_merge,
-                              wedge, words_of_degree)
+                              wedge, word_bidegree, words_of_degree)
 from dolharm.scalars import QI
 
 from conftest import random_form
@@ -119,12 +120,85 @@ def test_change_frame_singular_matrix():
 
 
 def test_form_validation():
-    with pytest.raises(DegreeMismatchError):
-        InvariantForm(R, 2, {(2, 1): QI(1)})
-    with pytest.raises(DegreeMismatchError):
+    with pytest.raises(DegreeMismatchError, match=r"\(2, 1\) is not strictly increasing"):
+        InvariantForm(R, 2, {(1, 2): QI(1), (2, 1): QI(1)})
+    with pytest.raises(DegreeMismatchError, match=r"\(1, 2\) does not have degree 1"):
         InvariantForm(R, 1, {(1, 2): QI(1)})
+    with pytest.raises(DegreeMismatchError, match=r"\(0, 2\) has letters outside"):
+        InvariantForm(R, 2, {(0, 2): QI(1)})
+    with pytest.raises(DegreeMismatchError, match="not strictly increasing"):
+        InvariantForm(R, 2, {(3, 3): QI(1)})
     with pytest.raises(DegreeMismatchError):
         InvariantForm(R, 5, {(1, 2, 3, 4): QI(1)})
+
+
+# -- the basis tables against the per-call sorting they replaced -----------------
+
+
+def sort_word(letters):
+    """Reference: insertion sort counting adjacent transpositions; (None, 0)
+    on a repeated letter."""
+    letters = list(letters)
+    sign = 1
+    for i in range(1, len(letters)):
+        j = i
+        while j > 0 and letters[j - 1] > letters[j]:
+            letters[j - 1], letters[j] = letters[j], letters[j - 1]
+            sign = -sign
+            j -= 1
+        if j > 0 and letters[j - 1] == letters[j]:
+            return None, 0
+    return tuple(letters), sign
+
+
+def merge_words(w1, w2):
+    """Reference: the merged word and sign from inversion counting."""
+    if set(w1) & set(w2):
+        return None, 0
+    inversions = sum(1 for a in w1 for b in w2 if a > b)
+    return tuple(sorted(w1 + w2)), -1 if inversions % 2 else 1
+
+
+ALL_WORDS = [w for k in range(5) for w in words_of_degree(k)]
+
+
+def test_merge_table_matches_reference_on_every_pair():
+    assert len(ALL_WORDS) == 16
+    c = QI(2, -1)
+    for w1 in ALL_WORDS:
+        for w2 in ALL_WORDS:
+            word, sign = merge_words(w1, w2)
+            assert sort_word(w1 + w2) == (word, sign)
+            assert sign_of_merge(w1, w2) == sign
+            got = wedge(InvariantForm.basis(R, w1, c), InvariantForm.basis(R, w2))
+            if word is None:
+                assert got.is_zero and got.degree == len(w1) + len(w2)
+            else:
+                assert got == InvariantForm.basis(R, word, c if sign > 0 else -c)
+
+
+def test_conjugation_and_type_tables_match_reference():
+    bar = {1: 3, 2: 4, 3: 1, 4: 2}
+    c = QI(1, 3)
+    for w in ALL_WORDS:
+        assert word_bidegree(w) == (sum(x <= 2 for x in w), sum(x > 2 for x in w))
+        word, sign = sort_word([bar[x] for x in w])
+        want = InvariantForm.basis(C, word, c.conjugate() if sign > 0 else -c.conjugate())
+        assert InvariantForm.basis(C, w, c).conjugated() == want
+        assert InvariantForm.basis(R, w, c).conjugated() == InvariantForm.basis(R, w, QI(1, -3))
+        if w:
+            assert InvariantForm.basis(C, w).bidegree() == word_bidegree(w)
+
+
+def test_validation_accepts_exactly_the_basis_words():
+    for degree in range(5):
+        for letters in product(range(0, 6), repeat=degree):
+            valid = sort_word(letters) == (letters, 1) and all(1 <= x <= 4 for x in letters)
+            if valid:
+                assert InvariantForm(R, degree, {letters: QI(1)}).get(letters) == QI(1)
+            else:
+                with pytest.raises(DegreeMismatchError):
+                    InvariantForm(R, degree, {letters: QI(1)})
 
 
 def test_conjugation_complex_frame():
@@ -187,8 +261,8 @@ def test_float_backend_wedge_properties_within_tolerance():
     for _ in range(50):
         p = rng.randint(0, 2)
         q = rng.randint(0, 2)
-        a = random_form(rng, R, p, float_backend=True)
-        b = random_form(rng, R, q, float_backend=True)
+        a = random_form(rng, R, p, as_complex=True)
+        b = random_form(rng, R, q, as_complex=True)
         lhs = wedge(a, b)
         rhs = wedge(b, a).scaled(complex(-1 if (p * q) % 2 else 1))
         scale = max(lhs.max_abs(), rhs.max_abs(), 1.0)
