@@ -16,14 +16,15 @@ the delbar rows.  ``assemble_system`` evaluates that product;
 ``decide_h11`` decides it on the exact and/or floating backend, re-verifies
 any witness by direct evaluation in the form algebra, and reports
 h11 = b^- + delta under an explicit b^- provenance.  The exact backend runs
-one elimination of [M|v]: its pivots give rank M and rank [M|v], and with
-rank M = 3 its last column is the witness; only a rank-deficient M takes the
-minimum-norm route x = M^H z, (M M^H) z = v.  The float backend is a numpy
-evaluation of the same system: it scales M to unit columns and v to unit
-norm, which makes it blind to the metric's scale, decides delta from the two
-SVD ranks, and re-verifies the exact rational value of its least-squares
-witness with the same exact ``verify_witness``; that exact residual is what
-it reports.
+one elimination of [M|v]: its pivots give rank M and rank [M|v], and the
+same reduced rows give the witness, the minimum-norm solution (the basic
+solution projected off ker M, ``linalg.min_norm_from_rref``).  The float
+backend is a numpy evaluation of the same system: it scales M to unit
+columns and v to unit norm, which makes it blind to the metric's scale,
+decides delta from the two SVD ranks, and re-verifies the exact rational
+value of its least-squares witness with the same exact ``verify_witness``.
+It reports that exact residual relative to the size of d omega (and of
+gamma for the star residual), so the residuals do not see the scale either.
 
 The same module decides the two feasibility questions that need no metric,
 each by one congruence diagonalization of a rational quadratic form
@@ -36,26 +37,23 @@ closed invariant 2-forms, and a nonzero pivot gives its witness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .bidegree import AlmostComplexCoframe, calculus_for
 from .catalog import CatalogEntry
 from .cohomology import TOP_WORD, ce_cohomology, closed_form_basis
 from .errors import (BackendDisagreementError, DolharmError,
                      InternalInvariantError)
-from .exterior import InvariantForm, Word
+from .exterior import InvariantForm
 from .hermitian import (ASDCoefficients, MetricParams, asd_form_scaled,
                         fundamental_form, hodge_star)
 from .lie import LieStructure, validate_d_squared
 from .linalg import (congruence_diagonal, float_lstsq, float_rank, kernel,
-                     row_space_solution, rref)
+                     min_norm_from_rref, rref)
 from .scalars import QI, QI_I, to_complex
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -86,33 +84,13 @@ def _structure_tables(lie: LieStructure, coframe: AlmostComplexCoframe
 
 
 @dataclass(frozen=True)
-class SystemRow:
-    operator: str                 # "del" or "delbar"
-    word: Word                    # the basis 3-form the row reads off
-    coeffs: tuple[QI, QI, QI]     # of the unknowns (A, B', C')
-    rhs: QI
-
-
-@dataclass(frozen=True)
 class HarmonicSystem:
-    """The linear system M (A,B',C')^T = v; rows carry their provenance."""
+    """The linear system M (A,B',C')^T = v: rows 4i*del on W21, then 4i*delbar
+    on W12; columns the unknowns (A, B', C')."""
 
-    rows: tuple[SystemRow, ...]
+    matrix: tuple[tuple[QI, QI, QI], ...]
+    rhs: tuple[QI, ...]
     metric: MetricParams
-
-    def matrix(self) -> list[list[QI]]:
-        return [list(r.coeffs) for r in self.rows]
-
-    def rhs(self) -> list[QI]:
-        return [r.rhs for r in self.rows]
-
-    def to_numpy(self) -> tuple[np.ndarray, np.ndarray]:
-        import numpy as np
-
-        mat = np.array([[to_complex(c) for c in row.coeffs] for row in self.rows],
-                       dtype=complex)
-        vec = np.array([to_complex(r.rhs) for r in self.rows], dtype=complex)
-        return mat, vec
 
 
 def assemble_system(lie: LieStructure, coframe: AlmostComplexCoframe,
@@ -132,14 +110,13 @@ def assemble_system(lie: LieStructure, coframe: AlmostComplexCoframe,
              (i * ub, QI(0), QI(1)),
              (QI((2 * u.abs2() - m.r2 * m.s2) / m.r2), i * ub * inv_r2, -(i * u) * inv_r2))
     omega = (QI(0, m.r2), u, -ub, QI(0, m.s2))
-    rows = []
-    labels = [("del", w) for w in W21] + [("delbar", w) for w in W12]
-    for t, (op, word) in zip(_structure_tables(lie, coframe), labels):
-        coeffs = tuple(sum((t[j] * gamma[j][c] for j in range(4) if t[j] and gamma[j][c]),
-                           start=QI(0)) for c in range(3))
-        rhs = sum((t[j] * omega[j] for j in range(4) if t[j]), start=QI(0))
-        rows.append(SystemRow(op, word, coeffs, rhs if op == "del" else -rhs))
-    return HarmonicSystem(tuple(rows), m)
+    matrix, rhs = [], []
+    for k, t in enumerate(_structure_tables(lie, coframe)):
+        matrix.append(tuple(sum((t[j] * gamma[j][c] for j in range(4) if t[j] and gamma[j][c]),
+                                start=QI(0)) for c in range(3)))
+        d_omega = sum((t[j] * omega[j] for j in range(4) if t[j]), start=QI(0))
+        rhs.append(d_omega if k < len(W21) else -d_omega)
+    return HarmonicSystem(tuple(matrix), tuple(rhs), m)
 
 
 @dataclass(frozen=True)
@@ -152,8 +129,8 @@ class DecisionReport:
     b_minus_reference: Optional[int]
     witness: Optional[ASDCoefficients]
     witness_scaled: Optional[tuple[QI, QI, QI]]
-    residual_dc: float            # max |coeff| of i d^c gamma - d omega
-    residual_star: float          # max |coeff| of star gamma + gamma
+    residual_dc: float            # max |coeff| of i d^c gamma - d omega over that of d omega
+    residual_star: float          # max |coeff| of star gamma + gamma over that of gamma
     rank_m: int
     rank_aug: int
     backend: str
@@ -170,8 +147,7 @@ def verify_witness(lie: LieStructure, coframe: AlmostComplexCoframe,
     """Residual forms (i d^c gamma - d omega, star gamma + gamma) for an exact
     witness (A, B', C'), computed in the form algebra."""
     calc = calculus_for(lie, coframe)
-    a, bp, cp = scaled
-    gamma = asd_form_scaled(m, a, bp, cp)
+    gamma = asd_form_scaled(m, *scaled)
     omega = fundamental_form(m)
     res_dc = calc.dc(gamma).scaled(QI_I) - calc.d(omega)
     res_star = hodge_star(gamma, m) + gamma
@@ -198,39 +174,36 @@ def _resolve_b_minus(policy, entry: Optional[CatalogEntry], lie: LieStructure
     raise DolharmError(f"invalid b^- policy {policy!r}")
 
 
-def _decide_exact(system: HarmonicSystem, lie, coframe, tolerance) -> dict:
-    mat, vec = system.matrix(), system.rhs()
-    n = len(mat[0])
-    red, pivots = rref([row + [v] for row, v in zip(mat, vec)])
+def _decide_exact(system: HarmonicSystem, lie, coframe) -> tuple:
+    """(rank M, rank [M|v], witness or None, residual_dc, residual_star) from
+    one rref of [M|v]; the witness is the minimum-norm solution."""
+    n = len(system.matrix[0])
+    red, pivots = rref([[*row, v] for row, v in zip(system.matrix, system.rhs)])
     rank_aug = len(pivots)
     rank_m = rank_aug - (n in pivots)
-    out = {"rank_m": rank_m, "rank_aug": rank_aug, "delta": int(rank_m == rank_aug)}
-    if out["delta"]:
-        # full column rank: the reduced last column is the unique solution
-        x = ([red[k][n] for k in range(n)] if rank_m == n
-             else row_space_solution(mat, vec))
-        if x is None:
-            raise InternalInvariantError(
-                "rank test and solver disagree on the exact backend")
-        res_dc, res_star = verify_witness(lie, coframe, system.metric, x)
-        if not (res_dc.is_zero and res_star.is_zero):
-            raise InternalInvariantError(
-                "exact witness failed re-verification: "
-                f"i d^c gamma - d omega = {res_dc}, star gamma + gamma = {res_star}")
-        out.update(witness_scaled=tuple(x), residual_dc=0.0, residual_star=0.0)
-    else:
-        out.update(witness_scaled=None, residual_dc=0.0, residual_star=0.0)
-    return out
+    if rank_m < rank_aug:
+        return rank_m, rank_aug, None, 0.0, 0.0
+    x = tuple(min_norm_from_rref(red, pivots, n))
+    res_dc, res_star = verify_witness(lie, coframe, system.metric, x)
+    if not (res_dc.is_zero and res_star.is_zero):
+        raise InternalInvariantError(
+            "exact witness failed re-verification: "
+            f"i d^c gamma - d omega = {res_dc}, star gamma + gamma = {res_star}")
+    return rank_m, rank_aug, x, 0.0, 0.0
 
 
-def _decide_float(system: HarmonicSystem, lie, coframe, tolerance) -> dict:
+def _decide_float(system: HarmonicSystem, lie, coframe, tolerance) -> tuple:
+    """The same tuple as :func:`_decide_exact`, from SVD ranks and least squares."""
     try:
         import numpy as np
     except ImportError:
         raise DolharmError("the float backend (--backend float or both) needs numpy, "
                            "which is not installed; use --backend exact") from None
 
-    mat, vec = system.to_numpy()
+    mat = np.array([[to_complex(c) for c in row] for row in system.matrix], dtype=complex)
+    vec = np.array([to_complex(c) for c in system.rhs], dtype=complex)
+    # d of a (1,1)-form has only W21 and W12 parts, and v holds them times 4i
+    d_omega_max = float(np.max(np.abs(vec))) / 4
     # r -> lam r, s -> lam s, u -> lam^2 u scales each column of M and v
     # uniformly, so on unit columns and a unit v the ranks do not see the scale
     col = np.linalg.norm(mat, axis=0)
@@ -239,18 +212,18 @@ def _decide_float(system: HarmonicSystem, lie, coframe, tolerance) -> dict:
     mat, vec = mat / col, vec / scale
     rank_m = float_rank(mat, tolerance)
     rank_aug = float_rank(np.column_stack([mat, vec]), tolerance)
-    out = {"rank_m": rank_m, "rank_aug": rank_aug, "delta": int(rank_m == rank_aug)}
-    if out["delta"]:
-        y, _ = float_lstsq(mat, vec)
-        x = tuple(complex(v) for v in y * scale / col)
-        # each double is an exact rational: re-verify that value exactly
-        exact = tuple(QI(Fraction(v.real), Fraction(v.imag)) for v in x)
-        res_dc, res_star = verify_witness(lie, coframe, system.metric, exact)
-        out.update(witness_scaled=x,
-                   residual_dc=res_dc.max_abs(), residual_star=res_star.max_abs())
-    else:
-        out.update(witness_scaled=None, residual_dc=0.0, residual_star=0.0)
-    return out
+    if rank_m < rank_aug:
+        return rank_m, rank_aug, None, 0.0, 0.0
+    x = tuple(complex(v) for v in float_lstsq(mat, vec) * scale / col)
+    # each double is an exact rational: re-verify that value exactly
+    exact = tuple(QI(Fraction(v.real), Fraction(v.imag)) for v in x)
+    res_dc, res_star = verify_witness(lie, coframe, system.metric, exact)
+    gamma_max = asd_form_scaled(system.metric, *exact).max_abs()
+    # relative to the size of d omega and of gamma, so the metric's scale
+    # does not show; a zero size keeps the absolute residual
+    res_dc, res_star = res_dc.max_abs(), res_star.max_abs()
+    return (rank_m, rank_aug, x, res_dc / d_omega_max if d_omega_max else res_dc,
+            res_star / gamma_max if gamma_max else res_star)
 
 
 def _witness_from_scaled(m: MetricParams, scaled) -> ASDCoefficients:
@@ -267,16 +240,18 @@ def decide_h11(lie: LieStructure, coframe: AlmostComplexCoframe, m: MetricParams
 
     The system comes from :func:`assemble_system`.  The exact backend decides
     delta = [rank M == rank [M|v]] from a single elimination of [M|v] and
-    reads the witness off it (minimum-norm solve only when rank M < 3).  The
-    float backend scales M to unit columns and v to unit norm, decides
+    reads the minimum-norm witness off the same reduced rows.  The float
+    backend scales M to unit columns and v to unit norm, decides
     delta = [rank M == rank [M|v]] from the two SVD ranks of that system, and
     takes its witness from least squares.  Both re-verify their witness
     exactly in the form algebra (the float one at the exact rational value
     of its doubles), and a failed exact re-check raises
-    :class:`InternalInvariantError`.
+    :class:`InternalInvariantError`.  The float residuals are relative: over
+    the largest coefficient of d omega, and of gamma for the star residual.
 
-    ``backend`` is "exact", "float" or "both"; "both" runs the two and raises
-    :class:`BackendDisagreementError` when their verdicts differ.  ``b_minus``
+    ``backend`` is "exact", "float" or "both"; "both" runs the two, raises
+    :class:`BackendDisagreementError` when their verdicts differ, and
+    otherwise returns the exact report with the float residuals.  ``b_minus``
     selects the provenance of b^-: "auto" (per-entry default), "ce", "paper",
     or a nonnegative integer override.
     """
@@ -289,42 +264,37 @@ def decide_h11(lie: LieStructure, coframe: AlmostComplexCoframe, m: MetricParams
     b_used, provenance, b_ce, b_ref = _resolve_b_minus(b_minus, entry, lie)
     system = assemble_system(lie, coframe, m)
 
-    def build(data, tag) -> DecisionReport:
-        scaled = data["witness_scaled"]
+    def build(tag, rank_m, rank_aug, scaled, residual_dc, residual_star
+              ) -> DecisionReport:
+        delta = int(rank_m == rank_aug)
         return DecisionReport(
-            delta=data["delta"],
-            h11=b_used + data["delta"],
+            delta=delta,
+            h11=b_used + delta,
             b_minus_used=b_used,
             b_minus_provenance=provenance,
             b_minus_ce=b_ce,
             b_minus_reference=b_ref,
             witness=_witness_from_scaled(m, scaled) if scaled else None,
             witness_scaled=scaled,
-            residual_dc=data["residual_dc"],
-            residual_star=data["residual_star"],
-            rank_m=data["rank_m"],
-            rank_aug=data["rank_aug"],
+            residual_dc=residual_dc,
+            residual_star=residual_star,
+            rank_m=rank_m,
+            rank_aug=rank_aug,
             backend=tag,
             tolerance=tolerance,
         )
 
-    if backend == "exact":
-        return build(_decide_exact(system, lie, coframe, tolerance), "exact")
     if backend == "float":
-        return build(_decide_float(system, lie, coframe, tolerance), "float")
-    exact_rep = build(_decide_exact(system, lie, coframe, tolerance), "exact")
-    float_rep = build(_decide_float(system, lie, coframe, tolerance), "float")
+        return build("float", *_decide_float(system, lie, coframe, tolerance))
+    exact_rep = build("exact", *_decide_exact(system, lie, coframe))
+    if backend == "exact":
+        return exact_rep
+    float_rep = build("float", *_decide_float(system, lie, coframe, tolerance))
     if exact_rep.delta != float_rep.delta:
         raise BackendDisagreementError(exact_rep, float_rep)
-    return DecisionReport(
-        delta=exact_rep.delta, h11=exact_rep.h11,
-        b_minus_used=b_used, b_minus_provenance=provenance,
-        b_minus_ce=b_ce, b_minus_reference=b_ref,
-        witness=exact_rep.witness, witness_scaled=exact_rep.witness_scaled,
-        residual_dc=max(exact_rep.residual_dc, float_rep.residual_dc),
-        residual_star=max(exact_rep.residual_star, float_rep.residual_star),
-        rank_m=exact_rep.rank_m, rank_aug=exact_rep.rank_aug,
-        backend="both", tolerance=tolerance)
+    # the exact residuals are 0: an exact witness that fails its check raises
+    return replace(exact_rep, backend="both", residual_dc=float_rep.residual_dc,
+                   residual_star=float_rep.residual_star)
 
 
 # -- almost Kahler feasibility -------------------------------------------------

@@ -296,12 +296,6 @@ def volume_form(m: MetricParams) -> InvariantForm:
     return InvariantForm.build(FrameTag.COMPLEX, 4, {(1, 2, 3, 4): QI(m.tau2)})
 
 
-def inner_product_density(f: InvariantForm, m: MetricParams):
-    """<f,f> as the coefficient c in f wedge star(conj f) = c vol."""
-    pairing = f.wedge(hodge_star(f.conjugated(), m))
-    return pairing.get((1, 2, 3, 4)) / QI(m.tau2)
-
-
 def gauduchon_residual(calc, m: MetricParams) -> InvariantForm:
     """del delbar omega; identically zero for every invariant metric here."""
     return calc.del_(calc.delbar(fundamental_form(m)))

@@ -3,7 +3,8 @@
 The exact routines are generic Gaussian elimination working on any scalar
 supporting field operations and truthiness (``QI``, ``Fraction``,
 ``RootExt``).  Pivots are chosen by floating magnitude purely as a heuristic;
-the arithmetic itself never leaves the exact ring.
+the arithmetic itself never leaves the exact ring.  One rref of [M|v] gives
+rank M, rank [M|v] and, by ``min_norm_from_rref``, the minimum-norm solution.
 
 The floating helpers wrap numpy.  ``float_rank`` implements the documented
 tolerance policy: singular values below ``rel_tol`` times the largest are
@@ -65,6 +66,21 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(rref(rows)[1])
 
 
+def _null_basis(red: Matrix, pivots: list[int], ncols: int, zero, one) -> list[list]:
+    """Null space basis read off reduced rows with ``ncols`` columns: one
+    vector per free column c, with 1 at c and minus column c at the pivots."""
+    basis = []
+    for c in range(ncols):
+        if c not in pivots:
+            vec = [zero] * ncols
+            vec[c] = one
+            for i, p in enumerate(pivots):
+                vec[p] = -red[i][c]
+            basis.append(vec)
+    return basis
+
+
+# no caller in the package; bench/tracer.py patches it by name
 def solve(rows: Sequence[Sequence], rhs: Sequence):
     """One solution of M x = v with free variables set to zero, or None."""
     if not rows:
@@ -84,20 +100,31 @@ def solve(rows: Sequence[Sequence], rhs: Sequence):
 def kernel(rows: Sequence[Sequence], ncols: int) -> list[list]:
     """Basis of the null space of M (list of ncols-vectors)."""
     red, pivots = rref(rows)
-    if rows:
-        sample = rows[0][0]
-        zero, one = sample - sample, (sample - sample) + 1
-    else:
-        zero, one = Fraction(0), Fraction(1)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for i, pc in enumerate(pivots):
-            vec[pc] = -red[i][fc]
-        basis.append(vec)
-    return basis
+    sample = rows[0][0] if rows else Fraction(0)
+    return _null_basis(red, pivots, ncols, sample - sample, sample - sample + 1)
+
+
+def _hdot(a: Sequence, b: Sequence):
+    """Hermitian inner product, the sum of conj(a_k) b_k."""
+    return sum((x.conjugate() * y for x, y in zip(a, b)), start=a[0] - a[0])
+
+
+def min_norm_from_rref(red: Matrix, pivots: list[int], ncols: int) -> list:
+    """Minimum-norm solution of a consistent M x = v from the rref of [M|v].
+
+    The null space of [M|v] is spanned by ker M (last entry 0) and, last,
+    (-x, 1) for the basic solution x.  Hermitian Gram-Schmidt in that order
+    leaves (-x', 1) with x' orthogonal to ker M: the solution of least norm.
+    Scalars must provide ``conjugate`` (use QI, not bare Fraction).
+    """
+    zero = red[0][0] - red[0][0]
+    done = []
+    for vec in _null_basis(red, pivots, ncols + 1, zero, zero + 1):
+        for q, qq in done:
+            f = _hdot(q, vec) / qq
+            vec = [b - f * a for a, b in zip(q, vec)]
+        done.append((vec, _hdot(vec, vec)))
+    return [-c for c in vec[:ncols]]
 
 
 def invert_matrix(rows: Sequence[Sequence]) -> Matrix:
@@ -113,42 +140,25 @@ def invert_matrix(rows: Sequence[Sequence]) -> Matrix:
     return [row[n:] for row in red[:n]]
 
 
-def conj_transpose(rows: Sequence[Sequence]) -> Matrix:
-    return [[rows[i][j].conjugate() for i in range(len(rows))]
-            for j in range(len(rows[0]))]
-
-
+# no caller in the package; bench/tracer.py patches it by name
 def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
     return [[sum((x * y for x, y in zip(row, col)), start=row[0] - row[0])
              for col in zip(*b)] for row in a]
 
 
+# no caller in the package; bench/tracer.py patches it by name
 def matvec(a: Sequence[Sequence], v: Sequence) -> list:
     return [sum((x * y for x, y in zip(row, v)), start=row[0] - row[0]) for row in a]
 
 
+# no caller in the package; bench/tracer.py patches it by name
 def min_norm_solution(rows: Sequence[Sequence], rhs: Sequence):
-    """Minimum-norm solution of a consistent complex system, or None.
-
-    The unique solution lying in the row space: x = M^H z with (M M^H) z = v.
-    Scalars must provide ``conjugate`` (use QI, not bare Fraction).
-    """
+    """Minimum-norm solution of a complex system, or None if it is inconsistent."""
     if not rows:
         return []
-    aug_rank = rank([list(r) + [v] for r, v in zip(rows, rhs)])
-    if aug_rank != rank(rows):
-        return None
-    return row_space_solution(rows, rhs)
-
-
-def row_space_solution(rows: Sequence[Sequence], rhs: Sequence):
-    """x = M^H z with (M M^H) z = v, or None: the minimum-norm solution of a
-    system the caller already knows to be consistent."""
-    mh = conj_transpose(rows)
-    z = solve(matmul(rows, mh), rhs)
-    if z is None:
-        return None
-    return matvec(mh, z)
+    ncols = len(rows[0])
+    red, pivots = rref([list(r) + [v] for r, v in zip(rows, rhs)])
+    return None if ncols in pivots else min_norm_from_rref(red, pivots, ncols)
 
 
 def congruence_diagonal(sym: Sequence[Sequence[Fraction]]
@@ -218,12 +228,8 @@ def float_rank(m: np.ndarray, rel_tol: float) -> int:
     return int(np.sum(s > rel_tol * s[0]))
 
 
-def float_lstsq(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimum-norm least-squares solution and the residual 2-norm."""
+def float_lstsq(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution."""
     import numpy as np
 
-    if m.size == 0:
-        return np.zeros(0, dtype=complex), float(np.linalg.norm(v))
-    x, *_ = np.linalg.lstsq(m, v, rcond=None)
-    residual = float(np.linalg.norm(m @ x - v))
-    return x, residual
+    return np.linalg.lstsq(m, v, rcond=None)[0]

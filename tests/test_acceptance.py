@@ -175,8 +175,8 @@ def test_criterion_05_hyperelliptic_I_never_jumps():
         # unknown parts must both occur (up to scale); their constants add to
         # 2 i s^2 r^2, i.e. i s^2 r^2 = 0 after halving, which is impossible
         system = assemble_system(entry.lie, entry.coframe, m)
-        vecs = [(*row.coeffs, -row.rhs) for row in system.rows
-                if any((*row.coeffs, row.rhs))]
+        vecs = [(*coeffs, -rhs) for coeffs, rhs in zip(system.matrix, system.rhs)
+                if any((*coeffs, rhs))]
         i = QI(0, 1)
         u, ub = m.u, m.u.conjugate()
         spread = QI(2 * m.u.abs2() - m.r2 * m.s2)

@@ -21,6 +21,9 @@ REQUESTS = [
     # a jump on the float backend alone: its witness is re-verified exactly
     ["h11", "--entry", "nilmanifold_I", "--metric", "1,2,1/3,1/5", "--backend", "float",
      "--json"],
+    # rank M = 2: the exact witness is the basic solution projected off ker M
+    ["h11", "--entry", "nilmanifold_I", "--metric", "1,2,1/3,1/5", "--backend", "exact",
+     "--json"],
     ["sweep", "--entry", "secondary_kodaira", "--r", "1", "--s", "1",
      "--u-re=-1/2:1/2", "--u-im=-1/2:1/2", "--steps", "3"],
 ]
@@ -47,5 +50,6 @@ def test_tracer_installs_and_reads_every_layer(capsys):
     assert layers["problem.sweep_self_ms_per_op"] > 0
     traced = {(span[5], span[4]) for span in tracer.spans}
     assert ("decision.verify_witness", 3) in traced
-    assert ("problem.sweep_csv", 4) in traced
+    assert ("decision.verify_witness", 4) in traced
+    assert ("problem.sweep_csv", 5) in traced
     assert not tracer._patched

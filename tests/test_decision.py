@@ -26,7 +26,7 @@ from dolharm.decision import (W11, W12, _ak_kernel, _positivity_ok,
 from dolharm.errors import BackendDisagreementError, DolharmError
 from dolharm.exterior import FrameTag, InvariantForm
 from dolharm.hermitian import MetricParams, fundamental_form
-from dolharm.linalg import invert_matrix, kernel, min_norm_solution, rank
+from dolharm.linalg import invert_matrix, kernel, rank, rref
 from dolharm.scalars import QI
 
 from conftest import DEFAULT_PARAMS, default_entries, random_coframe, random_metric
@@ -105,8 +105,8 @@ def reference_system(key, params, m):
 
 def homogeneous_rows(system):
     rows = []
-    for row in system.rows:
-        vec = (*row.coeffs, -row.rhs)
+    for coeffs, rhs in zip(system.matrix, system.rhs):
+        vec = (*coeffs, -rhs)
         if any(vec):
             rows.append(vec)
     return rows
@@ -196,7 +196,7 @@ def test_abelian_torus_system_is_trivial():
     cof = AlmostComplexCoframe.from_rows([[1, 0, I, 0], [0, 1, 0, I]])
     m = MetricParams.from_rs(1, 2, QI(1, 1))
     system = assemble_system(torus, cof, m)
-    assert all(not any((*r.coeffs, r.rhs)) for r in system.rows)
+    assert not any((*sum(system.matrix, ()), *system.rhs))
     rep = decide_h11(torus, cof, m, backend="both")
     assert rep.delta == 1  # 0 = 0 is solvable; witness gamma = 0
 
@@ -300,7 +300,9 @@ def test_backend_disagreement_raises():
 def test_float_verdict_does_not_depend_on_scale():
     """delta is invariant under r -> lam r, s -> lam s, u -> lam^2 u; the
     float backend decides on unit columns and a unit right-hand side, so
-    "both" agrees with "exact" from lam = 1e-8 to 1e8 on every entry."""
+    "both" agrees with "exact" from lam = 1e-8 to 1e8 on every entry.  Its
+    residuals are relative to the size of d omega and of gamma, so they stay
+    within the tolerance at every scale too."""
     for entry in default_entries():
         want = None
         for k in range(-8, 9):
@@ -309,6 +311,8 @@ def test_float_verdict_does_not_depend_on_scale():
             exact = decide_h11(entry.lie, entry.coframe, m, backend="exact", entry=entry)
             both = decide_h11(entry.lie, entry.coframe, m, backend="both", entry=entry)
             assert both.delta == exact.delta, (entry.key, k)
+            assert max(both.residual_dc, both.residual_star) <= both.tolerance, (
+                entry.key, k, both.residual_dc, both.residual_star)
             want = exact.delta if want is None else want
             assert exact.delta == want, (entry.key, k)
 
@@ -610,14 +614,24 @@ def test_ak_verdict_deterministic():
 
 
 def _reference_route(entry, m):
-    """rank M, rank [M|v] and min_norm_solution, each on its own, as decided
-    before the single elimination."""
+    """rank M and rank [M|v] each from its own elimination, and the
+    minimum-norm solution by the Gram route x = M^H z with (M M^H) z = v, as
+    decided before the single elimination."""
     system = assemble_system(entry.lie, entry.coframe, m)
-    mat, vec = system.matrix(), system.rhs()
+    mat = [list(row) for row in system.matrix]
     rank_m = rank(mat)
-    rank_aug = rank([row + [v] for row, v in zip(mat, vec)])
-    x = min_norm_solution(mat, vec)
-    return rank_m, rank_aug, (tuple(x) if x is not None else None)
+    rank_aug = rank([row + [v] for row, v in zip(mat, system.rhs)])
+    if rank_m != rank_aug:
+        return rank_m, rank_aug, None
+    mh = [[row[j].conjugate() for row in mat] for j in range(3)]
+    gram = [[sum((x * y for x, y in zip(row, col)), start=QI(0)) for col in zip(*mh)]
+            for row in mat]
+    red, pivots = rref([row + [v] for row, v in zip(gram, system.rhs)])
+    z = [QI(0)] * len(gram)
+    for k, p in enumerate(pivots):
+        z[p] = red[k][-1]
+    x = tuple(sum((a * b for a, b in zip(row, z)), start=QI(0)) for row in mh)
+    return rank_m, rank_aug, x
 
 
 def test_single_elimination_matches_reference_route():
@@ -643,6 +657,33 @@ def test_single_elimination_matches_reference_route():
             cases["no_witness" if x is None else
                   "full_rank_witness" if rank_m == 3 else "min_norm_witness"] += 1
     assert all(cases.values()), cases
+
+
+def test_rank_deficient_witness_is_orthogonal_to_kernel():
+    """On every rank-deficient exact jump the witness solves M x = v and is
+    Hermitian-orthogonal to ker M, which makes it the minimum-norm solution.
+    Random metrics, plus the loci of primary_kodaira_I (alpha = 1: rank M = 1)
+    and primary_kodaira_II (u real)."""
+    rng = random.Random(47)
+    ranks = Counter()
+    for entry in default_entries():
+        metrics = [random_metric(rng) for _ in range(8)]
+        metrics += [MetricParams.from_rs(r, s, QI(x, 0))
+                    for r, s, x in ((1, 2, 1), (2, 3, 4), (1, 1, Fraction(1, 2)))]
+        for m in metrics:
+            rep = decide_h11(entry.lie, entry.coframe, m, backend="exact", entry=entry)
+            if not rep.delta or rep.rank_m == 3:
+                continue
+            system = assemble_system(entry.lie, entry.coframe, m)
+            x = rep.witness_scaled
+            assert [sum((a * b for a, b in zip(row, x)), start=QI(0))
+                    for row in system.matrix] == list(system.rhs)
+            basis = kernel([list(row) for row in system.matrix], 3)
+            assert len(basis) == 3 - rep.rank_m
+            assert all(not sum((a.conjugate() * b for a, b in zip(k, x)), start=QI(0))
+                       for k in basis), (entry.key, m.describe())
+            ranks[rep.rank_m] += 1
+    assert ranks[1] and ranks[2], ranks
 
 
 def test_structure_caches_are_bounded():

@@ -7,7 +7,7 @@ import pytest
 from dolharm.errors import SingularMatrixError
 from dolharm.linalg import (congruence_diagonal, float_lstsq, float_rank,
                             invert_matrix, kernel, matmul, min_norm_solution, rank,
-                            row_space_solution, rref, solve, symmetric_signature)
+                            rref, solve, symmetric_signature)
 from dolharm.scalars import QI
 
 
@@ -52,7 +52,10 @@ def test_min_norm_solution_complex():
     m = [[QI(1), QI(0, 1)]]
     x = min_norm_solution(m, [QI(2)])
     assert x == [QI(1), QI(0, -1)]
-    assert row_space_solution(m, [QI(2)]) == x  # the Gram step without the checks
+    # a two-dimensional kernel: the projection needs Gram-Schmidt; the answer
+    # is conj(a) v / |a|^2 for the single row a
+    assert min_norm_solution([[QI(1), QI(0, 1), QI(2)]], [QI(3)]) == [
+        QI(Fraction(1, 2)), QI(0, Fraction(-1, 2)), QI(1)]
     # inconsistent system
     m2 = qm([[1, 1], [1, 1]])
     assert min_norm_solution(m2, [QI(0), QI(1)]) is None
@@ -122,7 +125,8 @@ def test_float_rank_tolerance_policy():
 
 def test_float_lstsq_residual():
     m = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    x, res = float_lstsq(m, np.array([1.0, 1.0], dtype=complex))
-    assert abs(res - 1.0) < 1e-12
-    assert abs(x[0] - 1.0) < 1e-12
+    v = np.array([1.0, 1.0], dtype=complex)
+    x = float_lstsq(m, v)
+    assert abs(np.linalg.norm(m @ x - v) - 1.0) < 1e-12
+    assert abs(x[0] - 1.0) < 1e-12 and abs(x[1]) < 1e-12
 
