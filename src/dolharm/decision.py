@@ -25,6 +25,9 @@ decides delta from the two SVD ranks, and re-verifies the exact rational
 value of its least-squares witness with the same exact ``verify_witness``.
 It reports that exact residual relative to the size of d omega (and of
 gamma for the star residual), so the residuals do not see the scale either.
+``decide_grid`` gives the deltas of many metrics in one call: the float
+ranks of all their systems from one batched SVD pass, then the exact path
+of each metric in turn.
 
 The same module decides the two feasibility questions that need no metric,
 each by one congruence diagonalization of a rational quadratic form
@@ -174,47 +177,107 @@ def _resolve_b_minus(policy, entry: Optional[CatalogEntry], lie: LieStructure
     raise DolharmError(f"invalid b^- policy {policy!r}")
 
 
+def _prologue(lie: LieStructure, backend: str, b_minus, entry: Optional[CatalogEntry],
+              tolerance: float) -> tuple[int, str, int, Optional[int]]:
+    """Check the options and the structure; the resolved b^- as
+    (used, provenance, CE value, reference value)."""
+    if backend not in ("exact", "float", "both"):
+        raise DolharmError(f"invalid backend {backend!r}")
+    # outside (0, 1), or nan, the float ranks no longer depend on the system
+    if not 0 < tolerance < 1:
+        raise DolharmError(f"tolerance must lie in (0, 1), got {tolerance}")
+    _require_valid_structure(lie)
+    return _resolve_b_minus(b_minus, entry, lie)
+
+
+def _report(b_info: tuple, m: MetricParams, tolerance: float, tag: str,
+            rank_m: int, rank_aug: int, scaled, residual_dc: float = 0.0,
+            residual_star: float = 0.0) -> DecisionReport:
+    b_used, provenance, b_ce, b_ref = b_info
+    delta = int(rank_m == rank_aug)
+    return DecisionReport(
+        delta=delta,
+        h11=b_used + delta,
+        b_minus_used=b_used,
+        b_minus_provenance=provenance,
+        b_minus_ce=b_ce,
+        b_minus_reference=b_ref,
+        witness=_witness_from_scaled(m, scaled) if scaled else None,
+        witness_scaled=scaled,
+        residual_dc=residual_dc,
+        residual_star=residual_star,
+        rank_m=rank_m,
+        rank_aug=rank_aug,
+        backend=tag,
+        tolerance=tolerance,
+    )
+
+
 def _decide_exact(system: HarmonicSystem, lie, coframe) -> tuple:
-    """(rank M, rank [M|v], witness or None, residual_dc, residual_star) from
-    one rref of [M|v]; the witness is the minimum-norm solution."""
+    """(rank M, rank [M|v], witness or None) from one rref of [M|v]; the
+    witness is the minimum-norm solution, re-verified exactly."""
     n = len(system.matrix[0])
     red, pivots = rref([[*row, v] for row, v in zip(system.matrix, system.rhs)])
     rank_aug = len(pivots)
     rank_m = rank_aug - (n in pivots)
     if rank_m < rank_aug:
-        return rank_m, rank_aug, None, 0.0, 0.0
+        return rank_m, rank_aug, None
     x = tuple(min_norm_from_rref(red, pivots, n))
     res_dc, res_star = verify_witness(lie, coframe, system.metric, x)
     if not (res_dc.is_zero and res_star.is_zero):
         raise InternalInvariantError(
             "exact witness failed re-verification: "
             f"i d^c gamma - d omega = {res_dc}, star gamma + gamma = {res_star}")
-    return rank_m, rank_aug, x, 0.0, 0.0
+    return rank_m, rank_aug, x
 
 
-def _decide_float(system: HarmonicSystem, lie, coframe, tolerance) -> tuple:
-    """The same tuple as :func:`_decide_exact`, from SVD ranks and least squares."""
+def _float_systems(systems: Sequence[HarmonicSystem]):
+    """M and v of each system as complex stacks of shapes (k, 4, 3) and (k, 4)."""
     try:
         import numpy as np
     except ImportError:
         raise DolharmError("the float backend (--backend float or both) needs numpy, "
                            "which is not installed; use --backend exact") from None
+    mat = np.array([[[to_complex(c) for c in row] for row in s.matrix] for s in systems],
+                   dtype=complex)
+    vec = np.array([[to_complex(c) for c in s.rhs] for s in systems], dtype=complex)
+    return mat, vec
 
-    mat = np.array([[to_complex(c) for c in row] for row in system.matrix], dtype=complex)
-    vec = np.array([to_complex(c) for c in system.rhs], dtype=complex)
+
+def _unit_scaled(mat, vec):
+    """M and [M|v] of each system of a stack, with the columns of M and v
+    scaled to unit norm, and those norms, (k, 3) and (k,); a zero norm is
+    taken as 1.
+
+    r -> lam r, s -> lam s, u -> lam^2 u scales each column of M and v
+    uniformly, so on unit columns and a unit v the ranks do not see the scale.
+    """
+    import numpy as np
+
+    col = np.linalg.norm(mat, axis=-2)
+    col[col == 0] = 1.0
+    # the sums numpy.linalg.norm forms for one complex vector, so that every
+    # system of a stack is scaled exactly as it is on its own
+    re, im = vec.real[..., None, :], vec.imag[..., None, :]
+    scale = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+    scale[scale == 0] = 1.0
+    mat = mat / col[..., None, :]
+    return mat, np.concatenate([mat, (vec / scale[..., None])[..., None]], axis=-1), col, scale
+
+
+def _decide_float(system: HarmonicSystem, lie, coframe, tolerance) -> tuple:
+    """(rank M, rank [M|v], witness or None, residual_dc, residual_star) from
+    SVD ranks and least squares."""
+    mat, vec = _float_systems([system])
+    import numpy as np
+
     # d of a (1,1)-form has only W21 and W12 parts, and v holds them times 4i
     d_omega_max = float(np.max(np.abs(vec))) / 4
-    # r -> lam r, s -> lam s, u -> lam^2 u scales each column of M and v
-    # uniformly, so on unit columns and a unit v the ranks do not see the scale
-    col = np.linalg.norm(mat, axis=0)
-    col[col == 0] = 1.0
-    scale = float(np.linalg.norm(vec)) or 1.0
-    mat, vec = mat / col, vec / scale
-    rank_m = float_rank(mat, tolerance)
-    rank_aug = float_rank(np.column_stack([mat, vec]), tolerance)
+    mat, aug, col, scale = _unit_scaled(mat, vec)
+    rank_m, rank_aug = float_rank(mat[0], tolerance), float_rank(aug[0], tolerance)
     if rank_m < rank_aug:
         return rank_m, rank_aug, None, 0.0, 0.0
-    x = tuple(complex(v) for v in float_lstsq(mat, vec) * scale / col)
+    x = tuple(complex(v) for v in float_lstsq(mat[0], aug[0, :, -1]) * scale[0] / col[0])
     # each double is an exact rational: re-verify that value exactly
     exact = tuple(QI(Fraction(v.real), Fraction(v.imag)) for v in x)
     res_dc, res_star = verify_witness(lie, coframe, system.metric, exact)
@@ -255,46 +318,56 @@ def decide_h11(lie: LieStructure, coframe: AlmostComplexCoframe, m: MetricParams
     selects the provenance of b^-: "auto" (per-entry default), "ce", "paper",
     or a nonnegative integer override.
     """
-    if backend not in ("exact", "float", "both"):
-        raise DolharmError(f"invalid backend {backend!r}")
-    # outside (0, 1), or nan, the float ranks no longer depend on the system
-    if not 0 < tolerance < 1:
-        raise DolharmError(f"tolerance must lie in (0, 1), got {tolerance}")
-    _require_valid_structure(lie)
-    b_used, provenance, b_ce, b_ref = _resolve_b_minus(b_minus, entry, lie)
+    b_info = _prologue(lie, backend, b_minus, entry, tolerance)
     system = assemble_system(lie, coframe, m)
-
-    def build(tag, rank_m, rank_aug, scaled, residual_dc, residual_star
-              ) -> DecisionReport:
-        delta = int(rank_m == rank_aug)
-        return DecisionReport(
-            delta=delta,
-            h11=b_used + delta,
-            b_minus_used=b_used,
-            b_minus_provenance=provenance,
-            b_minus_ce=b_ce,
-            b_minus_reference=b_ref,
-            witness=_witness_from_scaled(m, scaled) if scaled else None,
-            witness_scaled=scaled,
-            residual_dc=residual_dc,
-            residual_star=residual_star,
-            rank_m=rank_m,
-            rank_aug=rank_aug,
-            backend=tag,
-            tolerance=tolerance,
-        )
-
     if backend == "float":
-        return build("float", *_decide_float(system, lie, coframe, tolerance))
-    exact_rep = build("exact", *_decide_exact(system, lie, coframe))
+        return _report(b_info, m, tolerance, "float",
+                       *_decide_float(system, lie, coframe, tolerance))
+    exact_rep = _report(b_info, m, tolerance, "exact", *_decide_exact(system, lie, coframe))
     if backend == "exact":
         return exact_rep
-    float_rep = build("float", *_decide_float(system, lie, coframe, tolerance))
+    float_rep = _report(b_info, m, tolerance, "float",
+                        *_decide_float(system, lie, coframe, tolerance))
     if exact_rep.delta != float_rep.delta:
         raise BackendDisagreementError(exact_rep, float_rep)
     # the exact residuals are 0: an exact witness that fails its check raises
     return replace(exact_rep, backend="both", residual_dc=float_rep.residual_dc,
                    residual_star=float_rep.residual_star)
+
+
+def decide_grid(lie: LieStructure, coframe: AlmostComplexCoframe,
+                metrics: Sequence[MetricParams], *, backend: str = "both",
+                b_minus="auto", entry: Optional[CatalogEntry] = None,
+                tolerance: float = DEFAULT_TOLERANCE) -> list[int]:
+    """delta at each metric, in order, as :func:`decide_h11` decides it.
+
+    The options, the structure and b^- are checked once, and the float ranks
+    of all the systems come from one SVD of the stacked M's and one of the
+    stacked [M|v]'s.  Each metric then runs the exact path of
+    :func:`decide_h11` (one elimination, the minimum-norm witness, its exact
+    re-verification) and, under "both", is compared with its float verdict,
+    so an error is raised at the metric where a call per metric raises it.
+    The float least-squares witness and residuals are not computed.
+    """
+    b_info = _prologue(lie, backend, b_minus, entry, tolerance)
+    systems = [assemble_system(lie, coframe, m) for m in metrics]
+    float_ranks = [None] * len(systems)
+    if backend != "exact" and systems:
+        mat, aug, _, _ = _unit_scaled(*_float_systems(systems))
+        float_ranks = list(zip(float_rank(mat, tolerance).tolist(),
+                               float_rank(aug, tolerance).tolist()))
+        if backend == "float":
+            return [int(rank_m == rank_aug) for rank_m, rank_aug in float_ranks]
+    deltas = []
+    for system, ranks in zip(systems, float_ranks):
+        exact = _decide_exact(system, lie, coframe)
+        delta = int(exact[0] == exact[1])
+        if ranks is not None and delta != int(ranks[0] == ranks[1]):
+            raise BackendDisagreementError(
+                _report(b_info, system.metric, tolerance, "exact", *exact),
+                _report(b_info, system.metric, tolerance, "float", *ranks, None))
+        deltas.append(delta)
+    return deltas
 
 
 # -- almost Kahler feasibility -------------------------------------------------

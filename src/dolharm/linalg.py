@@ -7,9 +7,9 @@ the arithmetic itself never leaves the exact ring.  One rref of [M|v] gives
 rank M, rank [M|v] and, by ``min_norm_from_rref``, the minimum-norm solution.
 
 The floating helpers wrap numpy.  ``float_rank`` implements the documented
-tolerance policy: singular values below ``rel_tol`` times the largest are
-treated as zero.  They import numpy when called, so exact-only use never
-loads it.
+tolerance policy, on one matrix or on a stack of them: singular values not
+above ``rel_tol`` times the largest are treated as zero.  They import numpy
+when called, so exact-only use never loads it.
 """
 from __future__ import annotations
 
@@ -217,15 +217,18 @@ def symmetric_signature(sym: Sequence[Sequence[Fraction]]) -> tuple[int, int, in
 # -- floating-point counterparts -------------------------------------------
 
 
-def float_rank(m: np.ndarray, rel_tol: float) -> int:
+def float_rank(m: np.ndarray, rel_tol: float):
+    """Rank of a matrix, or the ranks of a stack (..., m, n) of matrices: the
+    number of singular values above ``rel_tol`` times the largest one, so 0
+    for a zero matrix.  An int for one matrix, an int array for a stack."""
     import numpy as np
 
     if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rel_tol * s[0]))
+        ranks = np.zeros(m.shape[:-2], dtype=int)
+    else:
+        s = np.linalg.svd(m, compute_uv=False)
+        ranks = np.sum(s > rel_tol * s[..., :1], axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def float_lstsq(m: np.ndarray, v: np.ndarray) -> np.ndarray:

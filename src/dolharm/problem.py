@@ -36,8 +36,8 @@ from .bidegree import AlmostComplexCoframe
 from .catalog import CatalogEntry, catalog
 from .cohomology import ce_cohomology
 from .decision import (DEFAULT_TOLERANCE, W12, W21, _structure_tables,
-                       almost_kahler_feasible, calculus_for, decide_h11,
-                       symplectic_feasible)
+                       almost_kahler_feasible, calculus_for, decide_grid,
+                       decide_h11, symplectic_feasible)
 from .errors import (CatalogError, MetricError, SingularMatrixError,
                      SpecParseError)
 from .exterior import FrameTag, InvariantForm
@@ -438,24 +438,28 @@ def sweep_csv(problem: Problem, options: Options, *,
               steps: int, r: Fraction, s: Fraction) -> str:
     """Delta over a u-grid at fixed (r, s); invalid metrics print as 'x'.
 
-    Rows are u_im ascending, columns u_re ascending; deterministic.
+    Rows are u_im ascending, columns u_re ascending; deterministic.  The
+    valid metrics are decided together by one :func:`decide_grid` call.
     """
     res = grid_values(u_re[0], u_re[1], steps)
     ims = grid_values(u_im[0], u_im[1], steps)
-    lines = ["u_im\\u_re," + ",".join(str(v) for v in res)]
+    metrics = []                  # row-major; None marks an invalid metric
     for vim in ims:
-        cells = []
         for vre in res:
             try:
-                metric = MetricParams.from_rs(r, s, QI(vre, vim))
+                metrics.append(MetricParams.from_rs(r, s, QI(vre, vim)))
             except MetricError:
-                cells.append("x")
-                continue
-            rep = decide_h11(problem.lie, problem.coframe, metric,
-                             backend=options.backend, b_minus=options.b_minus,
-                             entry=problem.entry, tolerance=options.tolerance)
-            cells.append(str(rep.delta))
-        lines.append(str(vim) + "," + ",".join(cells))
+                metrics.append(None)
+    valid = [m for m in metrics if m is not None]
+    # a grid without a valid metric decides nothing, so checks no option
+    deltas = iter(decide_grid(problem.lie, problem.coframe, valid,
+                              backend=options.backend, b_minus=options.b_minus,
+                              entry=problem.entry, tolerance=options.tolerance)
+                  if valid else ())
+    cells = ["x" if m is None else str(next(deltas)) for m in metrics]
+    lines = ["u_im\\u_re," + ",".join(str(v) for v in res)]
+    for k, vim in enumerate(ims):
+        lines.append(str(vim) + "," + ",".join(cells[k * len(res):(k + 1) * len(res)]))
     return "\n".join(lines) + "\n"
 
 
@@ -521,9 +525,10 @@ def render_human(report: Mapping) -> str:
                              f"B'={se['B_scaled']['re']}+({se['B_scaled']['im']})i "
                              f"C'={se['C_scaled']['re']}+({se['C_scaled']['im']})i")
             r = d["residuals"]
-            lines.append(f"  residuals: |i d^c gamma - d omega| = "
+            lines.append(f"  relative residuals: |i d^c gamma - d omega| / |d omega| = "
                          f"{r['i_dc_gamma_minus_d_omega']:.3g}, "
-                         f"|star gamma + gamma| = {r['star_gamma_plus_gamma']:.3g}")
+                         f"|star gamma + gamma| / |gamma| = "
+                         f"{r['star_gamma_plus_gamma']:.3g}")
     if "cohomology" in report:
         c = report["cohomology"]
         lines.append(f"invariant cohomology: betti={c['betti_invariant']} "

@@ -119,13 +119,19 @@ def test_report_human_tags_backend(capsys):
     assert code == 0
     assert "backend=float" in out
     assert "tolerance" in out
+    # the residuals are relative to the size of d omega and of gamma
+    assert ("  relative residuals: |i d^c gamma - d omega| / |d omega| = " in out
+            and ", |star gamma + gamma| / |gamma| = " in out)
 
 
 def test_backend_disagreement_exit_code(capsys):
-    code, _, err = run_cli(capsys, "h11", "--entry", "secondary_kodaira",
-                           "--metric", "1,1,0,0", "--tolerance", "1e-30")
-    assert code == 3
-    assert "disagreement" in err
+    for argv in (("h11", "--entry", "secondary_kodaira", "--metric", "1,1,0,0"),
+                 ("sweep", "--entry", "secondary_kodaira", "--r", "1", "--s", "1",
+                  "--u-re=-1/2:1/2", "--u-im=-1/2:1/2", "--steps", "3")):
+        code, out, err = run_cli(capsys, *argv, "--tolerance", "1e-30")
+        assert code == 3 and not out
+        assert "disagreement" in err
+        assert "exact: delta=1 (ranks 3/3)" in err
 
 
 def test_sweep_matches_h11_spotwise(capsys, tmp_path):
@@ -245,6 +251,42 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
+def test_consecutive_calls_keep_no_state(capsys):
+    """main builds its parser once per process, and each call parses into a
+    fresh namespace: no option, parameter or sub-command carries over."""
+    from dolharm import cli
+
+    first = ("h11", "--entry", "primary_kodaira_I", "--param", "alpha=1/2",
+             "--metric", "1,1,1/2,0", "--backend", "exact", "--json")
+    code, out, _ = run_cli(capsys, *first)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["problem"]["catalog"]["params"] == {"alpha": "1/2"}
+    assert doc["decision"]["delta"] == 1 and doc["backend"] == "exact"
+    parser = cli._PARSER
+    code, out, _ = run_cli(capsys, "h11", "--entry", "secondary_kodaira",
+                           "--metric", "1,1,1/2,0", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["problem"]["catalog"]["params"] == {}
+    assert doc["problem"]["options"] == {"backend": "both", "tolerance": 1e-9,
+                                         "b_minus": "auto"}
+    code, out, _ = run_cli(capsys, "catalog", "primary_kodaira_I", "--param", "alpha=1")
+    assert code == 0 and out.startswith("primary_kodaira_I:")
+    code, out, _ = run_cli(capsys, "ak-scan", "--entry", "nilmanifold_I")
+    assert code == 0 and "almost Kahler: infeasible" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0 and capsys.readouterr().out == f"dolharm {dolharm.__version__}\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["h11", "--bogus"])
+    assert exc.value.code == 2 and "unrecognized arguments: --bogus" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, *first)
+    assert code == 0 and json.loads(out) == json.loads(run_cli(capsys, *first)[1])
+    assert json.loads(out)["problem"]["catalog"]["params"] == {"alpha": "1/2"}
+    assert cli._PARSER is parser
+
+
 def test_negative_b_minus_override_rejected(capsys, tmp_path):
     code, out, err = run_cli(capsys, "h11", "--entry", "secondary_kodaira",
                              "--metric", "1,1,1/2,0", "--b-minus=-5")
@@ -275,16 +317,20 @@ def test_internal_invariant_breach_exit_code(capsys, monkeypatch):
         return bad, InvariantForm.zero(FrameTag.COMPLEX, 2)
 
     monkeypatch.setattr(decision, "verify_witness", broken_verify)
-    code, out, err = run_cli(capsys, "h11", "--entry", "secondary_kodaira",
-                             "--metric", "1,1,1/2,0", "--backend", "exact")
-    assert code == 4 and not out
-    assert "re-verification" in err
+    for argv in (("h11", "--entry", "secondary_kodaira", "--metric", "1,1,1/2,0",
+                  "--backend", "exact"),
+                 # every metric of this grid jumps, so its first one breaks
+                 ("sweep", "--entry", "nilmanifold_I", "--r", "1", "--s", "2",
+                  "--u-re=-1/2:1/2", "--u-im=-1/2:1/2", "--steps", "3")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4 and not out
+        assert "re-verification" in err
 
 
 def test_exact_runs_do_not_import_numpy():
     """numpy belongs to the float backend alone: importing dolharm, an exact
-    report, the catalog and an AK scan leave it unloaded, and a decision on
-    the default backend "both" loads it."""
+    report, the catalog, an AK scan and an exact sweep leave it unloaded, and
+    a decision on the default backend "both" loads it."""
     script = textwrap.dedent("""
         import contextlib, io, sys
         import dolharm
@@ -298,6 +344,8 @@ def test_exact_runs_do_not_import_numpy():
             "--backend", "exact")
         run("catalog")
         run("ak-scan", "--entry", "nilmanifold_I")
+        run("sweep", "--entry", "nilmanifold_I", "--r", "1", "--s", "2",
+            "--u-re=-1/2:1/2", "--u-im=-1/2:1/2", "--steps", "3", "--backend", "exact")
         print("numpy" in sys.modules)
         run("h11", "--entry", "secondary_kodaira", "--metric", "1,2,1/3,1/5",
             "--backend", "both")

@@ -20,13 +20,15 @@ import pytest
 from dolharm import catalog
 from dolharm.bidegree import AlmostComplexCoframe
 from dolharm.cohomology import closed_form_basis
-from dolharm.decision import (W11, W12, _ak_kernel, _positivity_ok,
-                              almost_kahler_feasible, assemble_system, calculus_for,
-                              decide_h11, symplectic_feasible, verify_witness)
-from dolharm.errors import BackendDisagreementError, DolharmError
+from dolharm.decision import (DEFAULT_TOLERANCE, W11, W12, _ak_kernel, _float_systems,
+                              _positivity_ok, _unit_scaled, almost_kahler_feasible,
+                              assemble_system, calculus_for, decide_grid, decide_h11,
+                              symplectic_feasible, verify_witness)
+from dolharm.errors import BackendDisagreementError, DolharmError, MetricError
 from dolharm.exterior import FrameTag, InvariantForm
 from dolharm.hermitian import MetricParams, fundamental_form
-from dolharm.linalg import invert_matrix, kernel, rank, rref
+from dolharm.linalg import float_rank, invert_matrix, kernel, rank, rref
+from dolharm.problem import Options, Problem, sweep_csv
 from dolharm.scalars import QI
 
 from conftest import DEFAULT_PARAMS, default_entries, random_coframe, random_metric
@@ -315,6 +317,89 @@ def test_float_verdict_does_not_depend_on_scale():
                 entry.key, k, both.residual_dc, both.residual_star)
             want = exact.delta if want is None else want
             assert exact.delta == want, (entry.key, k)
+
+
+def _locus_centre(key: str, params: dict, r: Fraction) -> QI:
+    """A u on the entry's h11 locus at this r (r < s keeps it valid)."""
+    if key == "inoue_sm":
+        return QI(0, -Fraction(params["alpha"]) * r * r / params["beta"])
+    if key == "primary_kodaira_I":
+        return QI(Fraction(params["alpha"]) * r * r, 0)
+    return QI(0)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float", "both"])
+def test_sweep_grid_matches_per_cell_decisions(backend):
+    """A 5x5 sweep, decided in one decide_grid call, prints at each cell the
+    delta of decide_h11 on that metric alone: every entry, two (r, s), grids
+    centred on the h11 locus whose corners are invalid."""
+    tally = Counter()
+    for entry in default_entries():
+        problem = Problem(entry.lie, entry.coframe, None, entry, Options(backend=backend))
+        for r, s in ((Fraction(1), Fraction(2)), (Fraction(1, 2), Fraction(1))):
+            c, h = _locus_centre(entry.key, DEFAULT_PARAMS[entry.key], r), Fraction(4, 5) * r * s
+            csv = sweep_csv(problem, problem.options, u_re=(c.re - h, c.re + h),
+                            u_im=(c.im - h, c.im + h), steps=5, r=r, s=s)
+            rows = [line.split(",") for line in csv.splitlines()]
+            for row in rows[1:]:
+                for u_re, cell in zip(rows[0][1:], row[1:]):
+                    tally[cell] += 1
+                    try:
+                        m = MetricParams.from_rs(r, s, QI(Fraction(u_re), Fraction(row[0])))
+                    except MetricError:
+                        assert cell == "x", (entry.key, r, u_re, row[0])
+                        continue
+                    want = decide_h11(entry.lie, entry.coframe, m, backend=backend,
+                                      entry=entry).delta
+                    assert cell == str(want), (entry.key, r, u_re, row[0])
+    assert set(tally) == {"x", "0", "1"}
+
+
+def test_decide_grid_checks_once_and_keeps_order():
+    entry = catalog("secondary_kodaira")
+    metrics = [MetricParams.from_rs(1, 1, QI(Fraction(k, 4), Fraction(j, 4)))
+               for j in (-1, 0, 1) for k in (-1, 0, 1)]
+    for backend in ("exact", "float", "both"):
+        assert decide_grid(entry.lie, entry.coframe, metrics, backend=backend,
+                           entry=entry) == [0, 0, 0, 1, 1, 1, 0, 0, 0]
+        assert decide_grid(entry.lie, entry.coframe, [], backend=backend) == []
+    with pytest.raises(DolharmError, match="tolerance"):
+        decide_grid(entry.lie, entry.coframe, metrics, entry=entry, tolerance=1.0)
+    with pytest.raises(DolharmError):
+        decide_grid(entry.lie, entry.coframe, metrics, backend="quantum")
+    # the first disagreeing metric is the first on the jump locus
+    with pytest.raises(BackendDisagreementError) as exc:
+        decide_grid(entry.lie, entry.coframe, metrics, entry=entry, tolerance=1e-30)
+    assert exc.value.exact_report.delta == 1 and exc.value.float_report.delta == 0
+    assert exc.value.exact_report.witness_scaled is not None
+
+
+def test_stacked_float_rank_equals_per_matrix():
+    """float_rank and the unit scaling give each system of a stack what they
+    give it on its own: the h11-scale systems of every entry (r = L, s = 2L,
+    u = (1/3 + i/5) L^2, L = 10^k, k = -8..8) and zero matrices."""
+    import numpy as np
+
+    systems = []
+    for entry in default_entries():
+        for k in range(-8, 9):
+            lam = Fraction(10) ** k
+            m = MetricParams.from_rs(lam, 2 * lam, QI(lam * lam / 3, lam * lam / 5))
+            systems.append(assemble_system(entry.lie, entry.coframe, m))
+    raw_mat, raw_vec = _float_systems(systems)
+    mat, aug, col, scale = _unit_scaled(raw_mat, raw_vec)
+    for k, system in enumerate(systems):
+        # the norms numpy.linalg.norm gives each M and v on its own
+        assert np.array_equal(col[k], np.linalg.norm(raw_mat[k], axis=0))
+        assert scale[k] == np.linalg.norm(raw_vec[k])
+        one = _unit_scaled(*_float_systems([system]))
+        for stacked, alone in zip((mat, aug, col, scale), one):
+            assert np.array_equal(stacked[k], alone[0]), k
+    for stack in (mat, aug, np.zeros((3, 4, 3), dtype=complex)):
+        ranks = float_rank(stack, DEFAULT_TOLERANCE)
+        assert ranks.tolist() == [float_rank(m, DEFAULT_TOLERANCE) for m in stack]
+    assert float_rank(np.zeros((4, 3)), DEFAULT_TOLERANCE) == 0
+    assert float_rank(np.zeros((0, 4, 3)), DEFAULT_TOLERANCE).tolist() == []
 
 
 def test_invalid_policy_and_backend():
