@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
@@ -17,8 +18,8 @@ from .catalog import CATALOG_NAMES, PARAM_REQUIREMENTS, catalog
 from .cohomology import ce_cohomology
 from .errors import (BackendDisagreementError, CatalogError, DolharmError,
                      InternalInvariantError, MetricError, SpecParseError)
-from .problem import (Problem, build_run_report, load_problem, parse_problem,
-                      render_human, sweep_csv)
+from .problem import (SECTIONS, Problem, build_run_report, load_problem,
+                      parse_problem, render_human, sweep_csv)
 from .scalars import as_fraction
 
 EXIT_OK = 0
@@ -27,14 +28,14 @@ EXIT_BACKEND = 3
 EXIT_INTERNAL = 4
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_metric: bool) -> None:
+def _add_common(parser: argparse.ArgumentParser, with_metric: bool) -> None:
     parser.add_argument("problem", nargs="?", default=None,
                         help="problem JSON file ('-' for stdin); omit when using --entry")
     parser.add_argument("--entry", choices=CATALOG_NAMES,
                         help="catalog entry name (inline problem)")
     parser.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
                         help="catalog parameter, e.g. alpha=1 or t_re=1/2 (repeatable)")
-    if needs_metric:
+    if with_metric:
         parser.add_argument("--metric", metavar="R,S,U_RE,U_IM",
                             help="metric parameters as rationals, e.g. 1,2,1/2,-1/4")
     parser.add_argument("--backend", choices=("exact", "float", "both"), default=None,
@@ -70,7 +71,7 @@ def _problem_from_args(args, needs_metric: bool) -> Problem:
     if args.problem is not None and args.entry is not None:
         raise SpecParseError("$", "give either a problem file or --entry, not both")
     if args.problem is not None:
-        problem = load_problem(args.problem, require_metric=False)
+        problem = load_problem(args.problem)
     elif args.entry is not None:
         doc = {"catalog": {"name": args.entry,
                            "params": _parse_inline_params(args.param)}}
@@ -87,9 +88,8 @@ def _problem_from_args(args, needs_metric: bool) -> Problem:
     if needs_metric and problem.metric is None:
         raise SpecParseError("metric", "this command requires a metric "
                              "(--metric R S U_RE U_IM or a 'metric' section)")
-    options = problem.options.merged(overrides)
-    return Problem(problem.lie, problem.coframe, problem.metric, problem.entry,
-                   options)
+    return replace(problem, options=replace(
+        problem.options, **{k: v for k, v in overrides.items() if v is not None}))
 
 
 def _emit(report: dict, as_json: bool) -> None:
@@ -100,35 +100,13 @@ def _emit(report: dict, as_json: bool) -> None:
         sys.stdout.write(render_human(report))
 
 
-def cmd_validate(args) -> int:
-    problem = _problem_from_args(args, needs_metric=False)
-    report = build_run_report(problem, problem.options, sections=("validation",))
-    _emit(report, args.as_json)
-    ok = report["validation"]["d_squared"]["ok"]
-    return EXIT_OK if ok else EXIT_PARSE
-
-
-def cmd_h11(args) -> int:
-    problem = _problem_from_args(args, needs_metric=True)
-    report = build_run_report(problem, problem.options,
-                              sections=("validation", "decision"))
-    _emit(report, args.as_json)
-    return EXIT_OK
-
-
-def cmd_ak_scan(args) -> int:
-    problem = _problem_from_args(args, needs_metric=False)
-    report = build_run_report(problem, problem.options,
-                              sections=("validation", "ak", "symplectic"))
-    _emit(report, args.as_json)
-    return EXIT_OK
-
-
 def cmd_report(args) -> int:
-    problem = _problem_from_args(args, needs_metric=False)
-    report = build_run_report(problem, problem.options)
+    """validate, h11, ak-scan and report: one run report over the verb's
+    sections; a structure failing d^2 = 0 exits 2."""
+    problem = _problem_from_args(args, args.needs_metric)
+    report = build_run_report(problem, args.sections)
     _emit(report, args.as_json)
-    return EXIT_OK
+    return EXIT_OK if report["validation"]["d_squared"]["ok"] else EXIT_PARSE
 
 
 def _parse_range(spec: str, where: str) -> tuple[Fraction, Fraction]:
@@ -152,8 +130,7 @@ def cmd_sweep(args) -> int:
         r, s = base.r_given, base.s_given
     else:
         raise SpecParseError("grid", "sweep needs --r/--s or a metric section")
-    csv = sweep_csv(problem, problem.options,
-                    u_re=_parse_range(args.u_re, "grid.u_re"),
+    csv = sweep_csv(problem, u_re=_parse_range(args.u_re, "grid.u_re"),
                     u_im=_parse_range(args.u_im, "grid.u_im"),
                     steps=args.steps, r=r, s=s)
     if args.out:
@@ -246,20 +223,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check d^2=0, coframe and metric validity")
-    _add_common(p, needs_metric=True)
-    p.set_defaults(func=cmd_validate)
+    _add_common(p, with_metric=True)
+    p.set_defaults(func=cmd_report, sections=("validation",), needs_metric=False)
 
     p = sub.add_parser("h11", help="decide delta and h11 = b^- + delta for a metric")
-    _add_common(p, needs_metric=True)
-    p.set_defaults(func=cmd_h11)
+    _add_common(p, with_metric=True)
+    p.set_defaults(func=cmd_report, sections=("validation", "decision"),
+                   needs_metric=True)
 
     p = sub.add_parser("ak-scan",
                        help="almost-Kahler and symplectic feasibility (no metric needed)")
-    _add_common(p, needs_metric=False)
-    p.set_defaults(func=cmd_ak_scan)
+    _add_common(p, with_metric=False)
+    p.set_defaults(func=cmd_report, sections=("validation", "ak", "symplectic"),
+                   needs_metric=False)
 
     p = sub.add_parser("sweep", help="CSV matrix of delta over a grid of u values")
-    _add_common(p, needs_metric=True)
+    _add_common(p, with_metric=True)
     p.add_argument("--u-re", metavar="MIN:MAX", required=True,
                    help="real part range, e.g. -1/2:1/2")
     p.add_argument("--u-im", metavar="MIN:MAX", required=True,
@@ -278,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("report", help="all-in-one report")
-    _add_common(p, needs_metric=True)
-    p.set_defaults(func=cmd_report)
+    _add_common(p, with_metric=True)
+    p.set_defaults(func=cmd_report, sections=SECTIONS, needs_metric=False)
 
     return parser
 

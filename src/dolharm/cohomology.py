@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .exterior import DIM, FrameTag, InvariantForm, words_of_degree
 from .lie import LieStructure
-from .linalg import kernel, rank, rref, symmetric_signature
+from .linalg import _null_basis, kernel, rref, symmetric_signature
 from .scalars import QI
 
 TOP_WORD = (1, 2, 3, 4)
@@ -78,28 +78,19 @@ def ce_cohomology(lie: LieStructure) -> CohomologyReport:
     if not verdict.ok:
         raise DolharmError("invariant cohomology undefined: d^2 != 0 on the coframe")
     dims = [len(words_of_degree(k)) for k in range(DIM + 1)]
-    ranks = [rank(d_matrix(lie, k)) for k in range(DIM + 1)]  # rank of d_k
+    mats = [d_matrix(lie, k) for k in range(DIM + 1)]
+    reduced = [rref(mat) for mat in mats]
+    ranks = [len(pivots) for _, pivots in reduced]  # rank of d_k
     betti = tuple(dims[k] - ranks[k] - (ranks[k - 1] if k else 0)
                   for k in range(DIM + 1))
 
+    # closed 2-forms off the reduced d_2; the representatives are those that
+    # are pivot columns of [d_1 | closed], each independent of the exact
+    # forms and of the representatives before it
     words2 = words_of_degree(2)
-    exact_vecs = []
-    red, _ = rref([_form_to_vector(lie.d_on_coframe(i), words2)
-                   for i in range(1, DIM + 1)])
-    for row in red:
-        if any(row):
-            exact_vecs.append(row)
-
-    closed_vecs = kernel(d_matrix(lie, 2), len(words2))
-    reps = []
-    span = [list(v) for v in exact_vecs]
-    current = rank(span) if span else 0
-    for vec in closed_vecs:
-        trial = span + [list(vec)]
-        if rank(trial) > current:
-            span = trial
-            current += 1
-            reps.append(vec)
+    closed = _null_basis(*reduced[2], len(words2), Fraction(0), Fraction(1))
+    _, pivots = rref([row + [v[i] for v in closed] for i, row in enumerate(mats[1])])
+    reps = [closed[p - dims[1]] for p in pivots if p >= dims[1]]
     rep_forms = tuple(_vector_to_form(v, words2) for v in reps)
 
     top_rank = ranks[3]

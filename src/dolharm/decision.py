@@ -25,9 +25,9 @@ decides delta from the two SVD ranks, and re-verifies the exact rational
 value of its least-squares witness with the same exact ``verify_witness``.
 It reports that exact residual relative to the size of d omega (and of
 gamma for the star residual), so the residuals do not see the scale either.
-``decide_grid`` gives the deltas of many metrics in one call: the float
-ranks of all their systems from one batched SVD pass, then the exact path
-of each metric in turn.
+``decide_h11`` (on one system) and ``decide_grid`` (on many) share one
+verdict engine, ``_verdicts``: the float ranks of all the systems from one
+batched SVD pass, then the exact path of each system in turn.
 
 The same module decides the two feasibility questions that need no metric,
 each by one congruence diagonalization of a rational quadratic form
@@ -40,7 +40,7 @@ closed invariant 2-forms, and a nonzero pivot gives its witness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -265,18 +265,45 @@ def _unit_scaled(mat, vec):
     return mat, np.concatenate([mat, (vec / scale[..., None])[..., None]], axis=-1), col, scale
 
 
-def _decide_float(system: HarmonicSystem, lie, coframe, tolerance) -> tuple:
-    """(rank M, rank [M|v], witness or None, residual_dc, residual_star) from
-    SVD ranks and least squares."""
-    mat, vec = _float_systems([system])
+def _verdicts(systems: Sequence[HarmonicSystem], lie, coframe, backend: str,
+              tolerance: float, b_info: tuple) -> tuple[list, list, Optional[tuple]]:
+    """(rank M, rank [M|v], exact witness or None) for each system, the float
+    (rank M, rank [M|v]) of each (None when no float rank is taken) and the
+    float stacks (raw v, then M, [M|v] and the norms of ``_unit_scaled``).
+
+    The float ranks of all the systems come from one SVD of the stacked M's
+    and one of the stacked [M|v]'s, and are the verdicts under "float".
+    Otherwise each system in turn runs :func:`_decide_exact`, and under
+    "both" the first whose float verdict differs raises
+    :class:`BackendDisagreementError`.
+    """
+    float_ranks, stacks = [None] * len(systems), None
+    if backend != "exact" and systems:
+        mat, vec = _float_systems(systems)
+        stacks = (vec, *_unit_scaled(mat, vec))
+        float_ranks = list(zip(float_rank(stacks[1], tolerance).tolist(),
+                               float_rank(stacks[2], tolerance).tolist()))
+        if backend == "float":
+            return [(*ranks, None) for ranks in float_ranks], float_ranks, stacks
+    verdicts = []
+    for system, ranks in zip(systems, float_ranks):
+        exact = _decide_exact(system, lie, coframe)
+        if ranks is not None and (exact[0] == exact[1]) != (ranks[0] == ranks[1]):
+            raise BackendDisagreementError(
+                _report(b_info, system.metric, tolerance, "exact", *exact),
+                _report(b_info, system.metric, tolerance, "float", *ranks, None))
+        verdicts.append(exact)
+    return verdicts, float_ranks, stacks
+
+
+def _float_witness(system: HarmonicSystem, lie, coframe, stacks) -> tuple:
+    """(witness, residual_dc, residual_star): least squares on the float
+    stacks of this one system, re-verified at its exact rational value."""
     import numpy as np
 
+    vec, mat, aug, col, scale = stacks
     # d of a (1,1)-form has only W21 and W12 parts, and v holds them times 4i
     d_omega_max = float(np.max(np.abs(vec))) / 4
-    mat, aug, col, scale = _unit_scaled(mat, vec)
-    rank_m, rank_aug = float_rank(mat[0], tolerance), float_rank(aug[0], tolerance)
-    if rank_m < rank_aug:
-        return rank_m, rank_aug, None, 0.0, 0.0
     x = tuple(complex(v) for v in float_lstsq(mat[0], aug[0, :, -1]) * scale[0] / col[0])
     # each double is an exact rational: re-verify that value exactly
     exact = tuple(QI(Fraction(v.real), Fraction(v.imag)) for v in x)
@@ -285,7 +312,7 @@ def _decide_float(system: HarmonicSystem, lie, coframe, tolerance) -> tuple:
     # relative to the size of d omega and of gamma, so the metric's scale
     # does not show; a zero size keeps the absolute residual
     res_dc, res_star = res_dc.max_abs(), res_star.max_abs()
-    return (rank_m, rank_aug, x, res_dc / d_omega_max if d_omega_max else res_dc,
+    return (x, res_dc / d_omega_max if d_omega_max else res_dc,
             res_star / gamma_max if gamma_max else res_star)
 
 
@@ -320,19 +347,16 @@ def decide_h11(lie: LieStructure, coframe: AlmostComplexCoframe, m: MetricParams
     """
     b_info = _prologue(lie, backend, b_minus, entry, tolerance)
     system = assemble_system(lie, coframe, m)
-    if backend == "float":
-        return _report(b_info, m, tolerance, "float",
-                       *_decide_float(system, lie, coframe, tolerance))
-    exact_rep = _report(b_info, m, tolerance, "exact", *_decide_exact(system, lie, coframe))
-    if backend == "exact":
-        return exact_rep
-    float_rep = _report(b_info, m, tolerance, "float",
-                        *_decide_float(system, lie, coframe, tolerance))
-    if exact_rep.delta != float_rep.delta:
-        raise BackendDisagreementError(exact_rep, float_rep)
-    # the exact residuals are 0: an exact witness that fails its check raises
-    return replace(exact_rep, backend="both", residual_dc=float_rep.residual_dc,
-                   residual_star=float_rep.residual_star)
+    [(rank_m, rank_aug, x)], [ranks], stacks = _verdicts(
+        [system], lie, coframe, backend, tolerance, b_info)
+    residuals = ()
+    # a tolerance near 1 can put the float rank [M|v] below rank M: that
+    # verdict reads delta = 0 but still takes the least-squares witness
+    if ranks is not None and ranks[0] >= ranks[1]:
+        float_x, *residuals = _float_witness(system, lie, coframe, stacks)
+        # "both" reports the exact witness with the float residuals
+        x = float_x if backend == "float" else x
+    return _report(b_info, m, tolerance, backend, rank_m, rank_aug, x, *residuals)
 
 
 def decide_grid(lie: LieStructure, coframe: AlmostComplexCoframe,
@@ -341,33 +365,15 @@ def decide_grid(lie: LieStructure, coframe: AlmostComplexCoframe,
                 tolerance: float = DEFAULT_TOLERANCE) -> list[int]:
     """delta at each metric, in order, as :func:`decide_h11` decides it.
 
-    The options, the structure and b^- are checked once, and the float ranks
-    of all the systems come from one SVD of the stacked M's and one of the
-    stacked [M|v]'s.  Each metric then runs the exact path of
-    :func:`decide_h11` (one elimination, the minimum-norm witness, its exact
-    re-verification) and, under "both", is compared with its float verdict,
-    so an error is raised at the metric where a call per metric raises it.
-    The float least-squares witness and residuals are not computed.
+    The options, the structure and b^- are checked once, also for no metric,
+    and one :func:`_verdicts` call decides all the systems, so an error is
+    raised at the metric where a call per metric raises it.  The float
+    least-squares witness and residuals are not computed.
     """
     b_info = _prologue(lie, backend, b_minus, entry, tolerance)
     systems = [assemble_system(lie, coframe, m) for m in metrics]
-    float_ranks = [None] * len(systems)
-    if backend != "exact" and systems:
-        mat, aug, _, _ = _unit_scaled(*_float_systems(systems))
-        float_ranks = list(zip(float_rank(mat, tolerance).tolist(),
-                               float_rank(aug, tolerance).tolist()))
-        if backend == "float":
-            return [int(rank_m == rank_aug) for rank_m, rank_aug in float_ranks]
-    deltas = []
-    for system, ranks in zip(systems, float_ranks):
-        exact = _decide_exact(system, lie, coframe)
-        delta = int(exact[0] == exact[1])
-        if ranks is not None and delta != int(ranks[0] == ranks[1]):
-            raise BackendDisagreementError(
-                _report(b_info, system.metric, tolerance, "exact", *exact),
-                _report(b_info, system.metric, tolerance, "float", *ranks, None))
-        deltas.append(delta)
-    return deltas
+    verdicts = _verdicts(systems, lie, coframe, backend, tolerance, b_info)[0]
+    return [int(rank_m == rank_aug) for rank_m, rank_aug, _ in verdicts]
 
 
 # -- almost Kahler feasibility -------------------------------------------------

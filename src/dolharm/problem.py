@@ -27,7 +27,7 @@ and symplectic verdicts are exact decisions and take no options.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Mapping, Optional
 
@@ -51,12 +51,6 @@ class Options:
     backend: str = "both"
     tolerance: float = DEFAULT_TOLERANCE
     b_minus: Any = "auto"
-
-    def merged(self, overrides: Mapping[str, Any]) -> "Options":
-        data = {"backend": self.backend, "tolerance": self.tolerance,
-                "b_minus": self.b_minus}
-        data.update({k: v for k, v in overrides.items() if v is not None})
-        return Options(**data)
 
 
 @dataclass(frozen=True)
@@ -166,7 +160,7 @@ def parse_options(obj: Mapping, where: str = "options") -> Options:
     return Options(backend=backend, tolerance=tolerance, b_minus=b_minus)
 
 
-def parse_problem(doc: Mapping, require_metric: bool = False) -> Problem:
+def parse_problem(doc: Mapping) -> Problem:
     if not isinstance(doc, Mapping):
         raise SpecParseError("$", "problem document must be a JSON object")
     if ("catalog" in doc) == ("custom" in doc):
@@ -187,14 +181,12 @@ def parse_problem(doc: Mapping, require_metric: bool = False) -> Problem:
     metric = None
     if "metric" in doc and doc["metric"] is not None:
         metric = parse_metric(doc["metric"])
-    elif require_metric:
-        raise SpecParseError("metric", "this command requires a metric")
     options = parse_options(doc.get("options", {}))
     return Problem(lie=lie, coframe=coframe, metric=metric, entry=entry,
                    options=options)
 
 
-def load_problem(path: str, require_metric: bool = False) -> Problem:
+def load_problem(path: str) -> Problem:
     import sys
 
     if path == "-":
@@ -206,7 +198,7 @@ def load_problem(path: str, require_metric: bool = False) -> Problem:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecParseError("$", f"invalid JSON: {exc}") from None
-    return parse_problem(doc, require_metric=require_metric)
+    return parse_problem(doc)
 
 
 # -- canonical echo -----------------------------------------------------------
@@ -261,9 +253,7 @@ def reparse_canonical(doc: Mapping) -> Problem:
                 raise SpecParseError("metric", str(exc)) from None
         else:
             metric = parse_metric(mdoc)
-    problem = parse_problem(base)
-    return Problem(lie=problem.lie, coframe=problem.coframe, metric=metric,
-                   entry=problem.entry, options=problem.options)
+    return replace(parse_problem(base), metric=metric)
 
 
 # -- report assembly ----------------------------------------------------------
@@ -303,9 +293,10 @@ def structure_tables_section(problem: Problem) -> dict:
     return tables
 
 
-def decision_section(problem: Problem, options: Options) -> dict:
+def decision_section(problem: Problem) -> dict:
     if problem.metric is None:
         raise SpecParseError("metric", "h11 decision requires a metric")
+    options = problem.options
     report = decide_h11(problem.lie, problem.coframe, problem.metric,
                         backend=options.backend, b_minus=options.b_minus,
                         entry=problem.entry, tolerance=options.tolerance)
@@ -385,17 +376,15 @@ def symplectic_section(problem: Problem) -> dict:
     }
 
 
-def build_run_report(problem: Problem, options: Options,
-                     sections: tuple[str, ...] = ("validation", "tables", "decision",
-                                                  "cohomology", "ak", "symplectic")
-                     ) -> dict:
+SECTIONS = ("validation", "tables", "decision", "cohomology", "ak", "symplectic")
+
+
+def build_run_report(problem: Problem, sections: tuple[str, ...] = SECTIONS) -> dict:
     report: dict[str, Any] = {
         "tool": {"name": "dolharm", "version": __version__},
-        "backend": options.backend,
-        "tolerance": options.tolerance,
-        "problem": canonical_problem(
-            Problem(problem.lie, problem.coframe, problem.metric, problem.entry,
-                    options)),
+        "backend": problem.options.backend,
+        "tolerance": problem.options.tolerance,
+        "problem": canonical_problem(problem),
     }
     if problem.entry is not None:
         report["entry"] = {
@@ -411,7 +400,7 @@ def build_run_report(problem: Problem, options: Options,
     if "tables" in sections:
         report["structure_tables"] = structure_tables_section(problem)
     if "decision" in sections and problem.metric is not None:
-        report["decision"] = decision_section(problem, options)
+        report["decision"] = decision_section(problem)
     if "cohomology" in sections:
         report["cohomology"] = cohomology_section(problem)
     if "ak" in sections:
@@ -433,7 +422,7 @@ def grid_values(lo: Fraction, hi: Fraction, steps: int) -> list[Fraction]:
     return [lo + k * step for k in range(steps)]
 
 
-def sweep_csv(problem: Problem, options: Options, *,
+def sweep_csv(problem: Problem, *,
               u_re: tuple[Fraction, Fraction], u_im: tuple[Fraction, Fraction],
               steps: int, r: Fraction, s: Fraction) -> str:
     """Delta over a u-grid at fixed (r, s); invalid metrics print as 'x'.
@@ -450,12 +439,12 @@ def sweep_csv(problem: Problem, options: Options, *,
                 metrics.append(MetricParams.from_rs(r, s, QI(vre, vim)))
             except MetricError:
                 metrics.append(None)
-    valid = [m for m in metrics if m is not None]
-    # a grid without a valid metric decides nothing, so checks no option
-    deltas = iter(decide_grid(problem.lie, problem.coframe, valid,
+    options = problem.options
+    # checks the options and the structure even when no metric is valid
+    deltas = iter(decide_grid(problem.lie, problem.coframe,
+                              [m for m in metrics if m is not None],
                               backend=options.backend, b_minus=options.b_minus,
-                              entry=problem.entry, tolerance=options.tolerance)
-                  if valid else ())
+                              entry=problem.entry, tolerance=options.tolerance))
     cells = ["x" if m is None else str(next(deltas)) for m in metrics]
     lines = ["u_im\\u_re," + ",".join(str(v) for v in res)]
     for k, vim in enumerate(ims):

@@ -101,6 +101,21 @@ def test_validate_custom_structure_failure(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "validate", str(path))
     assert code == 2
     assert "FAILED" in out
+    # every other verb stops at the structure, also a sweep with no valid cell
+    with_metric = tmp_path / "bad_metric.json"
+    with_metric.write_text(json.dumps(
+        {**doc, "metric": {"r": "1", "s": "2", "u_re": "0", "u_im": "0"}}))
+    all_x = ["--r", "1", "--s", "1", "--u-re=5:6", "--u-im=5:6", "--steps", "3"]
+    for argv in (["h11", str(with_metric)], ["ak-scan", str(path)],
+                 ["report", str(path)], ["sweep", str(path), *all_x]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "d^2" in err, argv
+    # a bad option is reported even when the sweep has no valid cell
+    code, out, err = run_cli(capsys, "sweep", "--entry", "secondary_kodaira", *all_x,
+                             "--tolerance", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "tolerance must lie in (0, 1)" in err
 
 
 def test_ak_scan_json(capsys):

@@ -338,7 +338,7 @@ def test_sweep_grid_matches_per_cell_decisions(backend):
         problem = Problem(entry.lie, entry.coframe, None, entry, Options(backend=backend))
         for r, s in ((Fraction(1), Fraction(2)), (Fraction(1, 2), Fraction(1))):
             c, h = _locus_centre(entry.key, DEFAULT_PARAMS[entry.key], r), Fraction(4, 5) * r * s
-            csv = sweep_csv(problem, problem.options, u_re=(c.re - h, c.re + h),
+            csv = sweep_csv(problem, u_re=(c.re - h, c.re + h),
                             u_im=(c.im - h, c.im + h), steps=5, r=r, s=s)
             rows = [line.split(",") for line in csv.splitlines()]
             for row in rows[1:]:
@@ -372,6 +372,35 @@ def test_decide_grid_checks_once_and_keeps_order():
         decide_grid(entry.lie, entry.coframe, metrics, entry=entry, tolerance=1e-30)
     assert exc.value.exact_report.delta == 1 and exc.value.float_report.delta == 0
     assert exc.value.exact_report.witness_scaled is not None
+
+
+def test_one_float_conversion_per_decision(monkeypatch):
+    """A decision converts its systems to numpy once: decide_h11 on a jump and
+    on no jump, its witness and residuals included, and decide_grid over a
+    whole grid; exact decisions never do."""
+    from dolharm import decision
+
+    calls = []
+
+    def counted(systems):
+        calls.append(len(systems))
+        return _float_systems(systems)
+
+    monkeypatch.setattr(decision, "_float_systems", counted)
+    entry = catalog("secondary_kodaira")
+    jump, no_jump = (MetricParams.from_rs(1, 1, QI(0, v)) for v in (0, Fraction(1, 4)))
+    for backend, want in (("exact", []), ("float", [1]), ("both", [1])):
+        for m, delta in ((jump, 1), (no_jump, 0)):
+            calls.clear()
+            report = decide_h11(entry.lie, entry.coframe, m, backend=backend, entry=entry)
+            assert report.delta == delta and calls == want, (backend, delta)
+            assert (report.witness is not None) == (delta == 1)
+    metrics = [MetricParams.from_rs(1, 1, QI(Fraction(k, 4), Fraction(j, 4)))
+               for j in (-1, 0, 1) for k in (-1, 0, 1)]
+    for backend, want in (("exact", []), ("float", [9]), ("both", [9])):
+        calls.clear()
+        decide_grid(entry.lie, entry.coframe, metrics, backend=backend, entry=entry)
+        assert calls == want, backend
 
 
 def test_stacked_float_rank_equals_per_matrix():
