@@ -16,11 +16,11 @@ from fractions import Fraction
 from . import __version__
 from .catalog import CATALOG_NAMES, PARAM_REQUIREMENTS, catalog
 from .cohomology import ce_cohomology
-from .errors import (BackendDisagreementError, CatalogError, DolharmError,
-                     InternalInvariantError, MetricError, SpecParseError)
+from .errors import (BackendDisagreementError, DolharmError,
+                     InternalInvariantError, SpecParseError)
 from .problem import (SECTIONS, Problem, build_run_report, load_problem,
-                      parse_problem, render_human, sweep_csv)
-from .scalars import as_fraction
+                      parse_b_minus, parse_catalog_params, parse_problem,
+                      parse_rational, render_human, sweep_csv)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -59,15 +59,8 @@ def _parse_inline_params(pairs: list[str]) -> dict:
 
 
 def _problem_from_args(args, needs_metric: bool) -> Problem:
-    overrides = {"backend": args.backend, "tolerance": args.tolerance}
-    if args.b_minus is not None:
-        b = args.b_minus
-        if b.lstrip("+-").isdigit():
-            b = int(b)
-            if b < 0:
-                raise SpecParseError("--b-minus",
-                                     f"b^- override must be nonnegative, got {b}")
-        overrides["b_minus"] = b
+    overrides = {"backend": args.backend, "tolerance": args.tolerance,
+                 "b_minus": parse_b_minus(args.b_minus, "--b-minus")}
     if args.problem is not None and args.entry is not None:
         raise SpecParseError("$", "give either a problem file or --entry, not both")
     if args.problem is not None:
@@ -113,16 +106,14 @@ def _parse_range(spec: str, where: str) -> tuple[Fraction, Fraction]:
     if ":" not in spec:
         raise SpecParseError(where, f"expected MIN:MAX, got {spec!r}")
     lo, hi = spec.split(":", 1)
-    try:
-        return as_fraction(lo.strip()), as_fraction(hi.strip())
-    except (ValueError, TypeError) as exc:
-        raise SpecParseError(where, f"not rational: {exc}") from None
+    return parse_rational(lo.strip(), where), parse_rational(hi.strip(), where)
 
 
 def cmd_sweep(args) -> int:
     problem = _problem_from_args(args, needs_metric=False)
     if args.r is not None:
-        r, s = as_fraction(args.r), as_fraction(args.s if args.s else args.r)
+        r = parse_rational(args.r, "--r")
+        s = parse_rational(args.s, "--s") if args.s else r
     elif problem.metric is not None:
         base = problem.metric
         if base.r_given is None:
@@ -157,24 +148,16 @@ def cmd_catalog(args) -> int:
             for item in listing:
                 sys.stdout.write(f"  {item['name']:22s} parameters: {item['parameters']}\n")
         return EXIT_OK
-    params = _parse_inline_params(args.param)
-    reqs = PARAM_REQUIREMENTS.get(args.name)
-    if reqs is None:
-        sys.stderr.write(f"unknown catalog entry {args.name!r}\n")
-        return EXIT_PARSE
-    missing = [p for p, _ in reqs if p not in params]
-    if missing and not params:
+    params = parse_catalog_params(_parse_inline_params(args.param), "--param")
+    reqs = PARAM_REQUIREMENTS.get(args.name, ())
+    if reqs and not params:
         # show the parameter domain instead of failing hard
         lines = [f"catalog entry {args.name} requires parameter(s):"]
         for p, dom in reqs:
             lines.append(f"  {p}: {dom}")
         sys.stdout.write("\n".join(lines) + "\n")
         return EXIT_OK
-    try:
-        entry = catalog(args.name, **{k: as_fraction(v) for k, v in params.items()})
-    except (CatalogError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
+    entry = catalog(args.name, **params)
     coh = ce_cohomology(entry.lie)
     info = {
         "name": entry.key,
@@ -274,12 +257,6 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except SpecParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except (CatalogError, MetricError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
     except BackendDisagreementError as exc:
         sys.stderr.write(f"error: {exc}\n")
         sys.stderr.write(

@@ -350,9 +350,7 @@ def decide_h11(lie: LieStructure, coframe: AlmostComplexCoframe, m: MetricParams
     [(rank_m, rank_aug, x)], [ranks], stacks = _verdicts(
         [system], lie, coframe, backend, tolerance, b_info)
     residuals = ()
-    # a tolerance near 1 can put the float rank [M|v] below rank M: that
-    # verdict reads delta = 0 but still takes the least-squares witness
-    if ranks is not None and ranks[0] >= ranks[1]:
+    if ranks is not None and ranks[0] == ranks[1]:
         float_x, *residuals = _float_witness(system, lie, coframe, stacks)
         # "both" reports the exact witness with the float residuals
         x = float_x if backend == "float" else x

@@ -19,10 +19,13 @@ or
       "metric": {...}
     }
 
-All numbers are rational strings ("p/q" or decimals) so the exact backend is
-fed unrounded input.  Reports echo the problem in canonical form, tag every
-verdict with the backend and tolerance that produced it.  The almost-Kahler
-and symplectic verdicts are exact decisions and take no options.
+All numbers are rational strings ("p/q" or decimals) or JSON integers, so the
+exact backend is fed unrounded input; structure indices are JSON integers.
+Every object rejects a field it does not know, and every malformed section,
+number or file raises a located :class:`SpecParseError`.  Reports echo the
+problem in canonical form, tag every verdict with the backend and tolerance
+that produced it.  The almost-Kahler and symplectic verdicts are exact
+decisions and take no options.
 """
 from __future__ import annotations
 
@@ -62,61 +65,72 @@ class Problem:
     options: Options
 
 
-def _fraction_field(obj: Mapping, key: str, where: str) -> Fraction:
-    if key not in obj:
-        raise SpecParseError(f"{where}.{key}", "missing required field")
+def parse_rational(value: Any, where: str) -> Fraction:
+    """An exact rational from outside: an integer, "p/q" or a decimal string."""
     try:
-        return as_fraction(obj[key])
+        return as_fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise SpecParseError(f"{where}.{key}", f"not a rational: {exc}") from None
+        raise SpecParseError(where, f"not a rational: {exc}") from None
 
 
-def parse_metric(obj: Mapping, where: str = "metric") -> MetricParams:
-    r = _fraction_field(obj, "r", where)
-    s = _fraction_field(obj, "s", where)
-    u_re = _fraction_field(obj, "u_re", where)
-    u_im = _fraction_field(obj, "u_im", where)
-    extra = set(obj) - {"r", "s", "u_re", "u_im"}
+def _check_object(value: Any, where: str, required: tuple = (), optional: tuple = (),
+                  *, any_key: bool = False) -> Mapping:
+    """``value`` as a JSON object holding the ``required`` fields and, unless
+    ``any_key``, no field outside ``required`` and ``optional``."""
+    if not isinstance(value, Mapping):
+        raise SpecParseError(where, "expected a JSON object")
+    for key in required:
+        if key not in value:
+            raise SpecParseError(f"{where}.{key}", "missing required field")
+    extra = () if any_key else set(value) - set(required) - set(optional)
     if extra:
         raise SpecParseError(where, f"unexpected field(s): {', '.join(sorted(extra))}")
+    return value
+
+
+def _check_list(value: Any, where: str, what: str, length: Optional[int] = None) -> list:
+    """``value`` as a JSON list, of ``length`` items when that is given."""
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        raise SpecParseError(where, f"expected a list of {what}")
+    return value
+
+
+def parse_metric(obj: Any, where: str = "metric", *, squares: bool = False) -> MetricParams:
+    """The metric from r, s, u_re, u_im, or with ``squares`` from r2, s2, u_re, u_im."""
+    keys = ("r2", "s2", "u_re", "u_im") if squares else ("r", "s", "u_re", "u_im")
+    _check_object(obj, where, keys)
+    r, s, u_re, u_im = (parse_rational(obj[key], f"{where}.{key}") for key in keys)
     try:
-        return MetricParams.from_rs(r, s, QI(u_re, u_im))
+        return (MetricParams.from_squares if squares else MetricParams.from_rs)(
+            r, s, QI(u_re, u_im))
     except MetricError as exc:
         raise SpecParseError(where, str(exc)) from None
 
 
-def _parse_custom(obj: Mapping) -> tuple[LieStructure, AlmostComplexCoframe]:
-    if "structure" not in obj:
-        raise SpecParseError("custom.structure", "missing required field")
+def _parse_custom(obj: Any) -> tuple[LieStructure, AlmostComplexCoframe]:
+    _check_object(obj, "custom", ("structure", "coframe"))
     diffs: dict[int, dict[tuple[int, int], Fraction]] = {}
-    for idx, term in enumerate(obj["structure"]):
+    for idx, term in enumerate(_check_list(obj["structure"], "custom.structure",
+                                           "structure terms")):
         where = f"custom.structure[{idx}]"
-        try:
-            i, j, k = int(term["i"]), int(term["j"]), int(term["k"])
-        except (KeyError, TypeError, ValueError):
-            raise SpecParseError(where, "needs integer fields i, j, k") from None
+        _check_object(term, where, ("i", "j", "k", "c"))
+        i, j, k = term["i"], term["j"], term["k"]
+        if not all(type(n) is int for n in (i, j, k)):
+            raise SpecParseError(where, "needs integer fields i, j, k")
         if not (1 <= i <= 4 and 1 <= j < k <= 4):
             raise SpecParseError(where, f"indices out of range: i={i}, j={j}, k={k}")
-        c = _fraction_field(term, "c", where)
+        c = parse_rational(term["c"], f"{where}.c")
         diffs.setdefault(i, {})
         diffs[i][(j, k)] = diffs[i].get((j, k), Fraction(0)) + c
     lie = LieStructure.from_d(diffs, "custom")
-    if "coframe" not in obj:
-        raise SpecParseError("custom.coframe", "missing required field")
-    rows = obj["coframe"]
-    if len(rows) != 2 or any(len(r) != 4 for r in rows):
-        raise SpecParseError("custom.coframe", "needs 2 rows of 4 [re, im] pairs")
     qrows = []
-    for rdx, row in enumerate(rows):
+    for rdx, row in enumerate(_check_list(obj["coframe"], "custom.coframe", "2 rows", 2)):
         qrow = []
-        for cdx, pair in enumerate(row):
+        for cdx, pair in enumerate(_check_list(row, f"custom.coframe[{rdx}]",
+                                               "4 [re, im] pairs", 4)):
             where = f"custom.coframe[{rdx}][{cdx}]"
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise SpecParseError(where, "expected an [re, im] pair")
-            try:
-                qrow.append(QI(as_fraction(pair[0]), as_fraction(pair[1])))
-            except (ValueError, TypeError) as exc:
-                raise SpecParseError(where, f"not rational: {exc}") from None
+            re, im = _check_list(pair, where, "2 rationals [re, im]", 2)
+            qrow.append(QI(parse_rational(re, where), parse_rational(im, where)))
         qrows.append(qrow)
     try:
         coframe = AlmostComplexCoframe.from_rows(qrows)
@@ -125,51 +139,48 @@ def _parse_custom(obj: Mapping) -> tuple[LieStructure, AlmostComplexCoframe]:
     return lie, coframe
 
 
-def parse_catalog_params(params: Mapping, where: str = "catalog.params") -> dict:
-    out = {}
-    for key, value in params.items():
-        try:
-            out[str(key)] = as_fraction(value)
-        except (ValueError, TypeError) as exc:
-            raise SpecParseError(f"{where}.{key}", f"not rational: {exc}") from None
-    return out
+def parse_catalog_params(params: Any, where: str = "catalog.params") -> dict:
+    _check_object(params, where, any_key=True)
+    return {str(key): parse_rational(value, f"{where}.{key}")
+            for key, value in params.items()}
 
 
-def parse_options(obj: Mapping, where: str = "options") -> Options:
-    known = {"backend", "tolerance", "b_minus"}
-    extra = set(obj) - known
-    if extra:
-        raise SpecParseError(where, f"unexpected field(s): {', '.join(sorted(extra))}")
+def parse_b_minus(value: Any, where: str) -> Any:
+    """'auto', 'ce', 'paper' or a nonnegative integer (also as a string);
+    None reads as 'auto'."""
+    if value is None or value in ("auto", "ce", "paper"):
+        return value
+    try:
+        b_minus = int(value) if isinstance(value, str) else value
+    except ValueError:
+        b_minus = None
+    if type(b_minus) is not int:
+        raise SpecParseError(where, "expected 'ce', 'paper', 'auto' or an integer")
+    if b_minus < 0:
+        raise SpecParseError(where, f"b^- override must be nonnegative, got {b_minus}")
+    return b_minus
+
+
+def parse_options(obj: Any, where: str = "options") -> Options:
+    _check_object(obj, where, optional=("backend", "tolerance", "b_minus"))
     backend = obj.get("backend", "both")
     if backend not in ("exact", "float", "both"):
         raise SpecParseError(f"{where}.backend", f"invalid backend {backend!r}")
-    b_minus = obj.get("b_minus", "auto")
-    if isinstance(b_minus, str) and b_minus not in ("auto", "ce", "paper"):
-        try:
-            b_minus = int(b_minus)
-        except ValueError:
-            raise SpecParseError(f"{where}.b_minus",
-                                 "expected 'ce', 'paper', 'auto' or an integer") from None
-    if isinstance(b_minus, int) and not isinstance(b_minus, bool) and b_minus < 0:
-        raise SpecParseError(f"{where}.b_minus",
-                             f"b^- override must be nonnegative, got {b_minus}")
+    b_minus = parse_b_minus(obj.get("b_minus", "auto"), f"{where}.b_minus")
     try:
         tolerance = float(obj.get("tolerance", DEFAULT_TOLERANCE))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecParseError(where, str(exc)) from None
     return Options(backend=backend, tolerance=tolerance, b_minus=b_minus)
 
 
-def parse_problem(doc: Mapping) -> Problem:
-    if not isinstance(doc, Mapping):
-        raise SpecParseError("$", "problem document must be a JSON object")
+def parse_problem(doc: Any) -> Problem:
+    _check_object(doc, "$", optional=("catalog", "custom", "metric", "options"))
     if ("catalog" in doc) == ("custom" in doc):
         raise SpecParseError("$", "exactly one of 'catalog' or 'custom' is required")
     entry = None
     if "catalog" in doc:
-        cat = doc["catalog"]
-        if "name" not in cat:
-            raise SpecParseError("catalog.name", "missing required field")
+        cat = _check_object(doc["catalog"], "catalog", ("name",), ("params",))
         params = parse_catalog_params(cat.get("params", {}))
         try:
             entry = catalog(str(cat["name"]), **params)
@@ -178,9 +189,8 @@ def parse_problem(doc: Mapping) -> Problem:
         lie, coframe = entry.lie, entry.coframe
     else:
         lie, coframe = _parse_custom(doc["custom"])
-    metric = None
-    if "metric" in doc and doc["metric"] is not None:
-        metric = parse_metric(doc["metric"])
+    # a null metric reads as none
+    metric = None if doc.get("metric") is None else parse_metric(doc["metric"])
     options = parse_options(doc.get("options", {}))
     return Problem(lie=lie, coframe=coframe, metric=metric, entry=entry,
                    options=options)
@@ -189,11 +199,14 @@ def parse_problem(doc: Mapping) -> Problem:
 def load_problem(path: str) -> Problem:
     import sys
 
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecParseError(path, f"cannot read the problem: {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -240,20 +253,11 @@ def canonical_problem(problem: Problem) -> dict:
 
 def reparse_canonical(doc: Mapping) -> Problem:
     """Parse the canonical echo (the metric may be given through its squares)."""
-    base = dict(doc)
-    metric = None
-    if "metric" in base and base["metric"] is not None:
-        mdoc = base.pop("metric")
-        if "r2" in mdoc:
-            try:
-                metric = MetricParams.from_squares(
-                    as_fraction(mdoc["r2"]), as_fraction(mdoc["s2"]),
-                    QI(as_fraction(mdoc["u_re"]), as_fraction(mdoc["u_im"])))
-            except (KeyError, ValueError, MetricError) as exc:
-                raise SpecParseError("metric", str(exc)) from None
-        else:
-            metric = parse_metric(mdoc)
-    return replace(parse_problem(base), metric=metric)
+    mdoc = _check_object(doc, "$", any_key=True).get("metric")
+    if not (isinstance(mdoc, Mapping) and "r2" in mdoc):
+        return parse_problem(doc)
+    return replace(parse_problem({**doc, "metric": None}),
+                   metric=parse_metric(mdoc, squares=True))
 
 
 # -- report assembly ----------------------------------------------------------

@@ -395,3 +395,123 @@ def test_float_backend_without_numpy_is_a_located_error():
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "delta" in done.stdout
+
+
+def test_float_witness_only_on_a_float_jump(capsys):
+    """A tolerance near 1 can put the float rank of [M|v] below rank M; that
+    verdict reads delta = 0 and takes no least-squares witness."""
+    code, out, _ = run_cli(capsys, "h11", "--entry", "secondary_kodaira",
+                           "--metric", "1,1,0,0", "--backend", "float",
+                           "--tolerance", "0.9")
+    assert code == 0 and "delta=0" in out and "witness" not in out
+    code, out, _ = run_cli(capsys, "h11", "--entry", "inoue_sm", "--param", "alpha=1",
+                           "--param", "beta=1", "--metric", "1,2,0,0", "--backend", "both",
+                           "--tolerance", "0.6", "--json")
+    decision = json.loads(out)["decision"]
+    assert code == 0 and decision["delta"] == 0 and decision["witness"] is None
+    assert decision["residuals"] == {"i_dc_gamma_minus_d_omega": 0.0,
+                                     "star_gamma_plus_gamma": 0.0}
+
+
+_CATALOG_DOC = {
+    "catalog": {"name": "inoue_sm", "params": {"alpha": "1", "beta": "0"}},
+    "metric": {"r": "1", "s": "2", "u_re": "1/2", "u_im": "0"},
+    "options": {"backend": "exact", "b_minus": "ce", "tolerance": 1e-9},
+}
+_CUSTOM_DOC = {
+    "custom": {
+        "structure": [{"i": 1, "j": 2, "k": 3, "c": "-1"},
+                      {"i": 2, "j": 1, "k": 3, "c": "1"}],
+        "coframe": [[["1", "0"], ["0", "0"], ["0", "1"], ["0", "0"]],
+                    [["0", "0"], ["1", "0"], ["0", "0"], ["0", "1"]]],
+    },
+    "metric": {"r": "1", "s": "1", "u_re": "0", "u_im": "0"},
+}
+
+
+def _base(path: tuple):
+    return _CUSTOM_DOC if path[:1] == ("custom",) else _CATALOG_DOC
+
+
+def _bad_doc(path: tuple, value, needle: str, name: str = ""):
+    """``h11`` on a valid document with the node at ``path`` set to ``value``;
+    the error must name ``needle``."""
+    doc = json.loads(json.dumps(_base(path)))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if path:
+        node[path[-1]] = value
+    else:
+        doc = value
+    return pytest.param(["h11", "{tmp}/doc.json"], json.dumps(doc).encode(), needle,
+                        id=name or f"{needle}={json.dumps(value)}")
+
+
+def _with_key(path: tuple, key: str, where: str):
+    node = _base(path)
+    for step in path:
+        node = node[step]
+    return _bad_doc(path, {**node, key: "1"}, f"{where}: unexpected", f"{where} +{key}")
+
+
+_SECTIONS = {(): "$", ("catalog",): "catalog", ("catalog", "params"): "catalog.params",
+             ("metric",): "metric", ("options",): "options", ("custom",): "custom",
+             ("custom", "structure"): "custom.structure",
+             ("custom", "structure", 0): "custom.structure[0]",
+             ("custom", "coframe"): "custom.coframe",
+             ("custom", "coframe", 0): "custom.coframe[0]",
+             ("custom", "coframe", 0, 1): "custom.coframe[0][1]"}
+# (path, unexpected key, location); a catalog parameter is checked by the entry
+_UNEXPECTED = [((), "option", "$"), (("catalog",), "parms", "catalog"),
+               (("catalog", "params"), "gamma", "catalog"), (("metric",), "t", "metric"),
+               (("options",), "seed", "options"), (("custom",), "metric", "custom"),
+               (("custom", "structure", 0), "l", "custom.structure[0]")]
+_RATIONALS = {("catalog", "params", "alpha"): "catalog.params.alpha",
+              **{("metric", key): f"metric.{key}" for key in ("r", "s", "u_re", "u_im")},
+              ("custom", "structure", 0, "c"): "custom.structure[0].c",
+              ("custom", "coframe", 0, 1, 0): "custom.coframe[0][1]",
+              ("custom", "coframe", 1, 3, 1): "custom.coframe[1][3]"}
+_SWEEP = ["sweep", "--entry", "secondary_kodaira", "--u-re=0:1", "--u-im=0:1",
+          "--steps", "2", "--backend", "exact"]
+_H11 = ["h11", "--entry", "inoue_sm", "--param", "beta=0"]
+_BAD_INPUTS = [
+    *(_bad_doc(path, value, where) for path, where in _SECTIONS.items()
+      for value in (5, None, [1], "x")),
+    *(_with_key(path, key, where) for path, key, where in _UNEXPECTED),
+    *(_bad_doc(path, "1/0", where) for path, where in _RATIONALS.items()),
+    _bad_doc(("custom", "structure", 0, "i"), 1.7, "custom.structure[0]"),
+    _bad_doc(("custom", "structure", 0, "i"), "1", "custom.structure[0]"),
+    *(_bad_doc(("options", "b_minus"), value, "options.b_minus") for value in (1.5, True)),
+    pytest.param([*_SWEEP, "--r", "abc"], None, "--r", id="--r=abc"),
+    pytest.param([*_SWEEP, "--r", "1/0"], None, "--r", id="--r=1/0"),
+    pytest.param([*_SWEEP, "--r", "1", "--s", "1/0"], None, "--s", id="--s=1/0"),
+    pytest.param([*_SWEEP, "--r", "1", "--u-re=1/0:1"], None, "grid.u_re",
+                 id="--u-re=1/0:1"),
+    pytest.param([*_H11, "--param", "alpha=1/0", "--metric", "1,2,0,0"], None,
+                 "catalog.params.alpha", id="h11 --param alpha=1/0"),
+    pytest.param([*_H11, "--param", "alpha=1", "--metric", "1,1/0,0,0"], None,
+                 "metric.s", id="--metric=1,1/0,0,0"),
+    pytest.param(["catalog", "inoue_sm", "--param", "alpha=1/0", "--param", "beta=0"],
+                 None, "--param.alpha", id="catalog --param alpha=1/0"),
+    pytest.param(["ak-scan", "--entry", "nilmanifold_I", "--b-minus", "foo"], None,
+                 "--b-minus", id="--b-minus=foo"),
+    pytest.param(["h11", "{tmp}/missing.json"], None, "{tmp}/missing.json",
+                 id="missing file"),
+    pytest.param(["h11", "{tmp}"], None, "{tmp}", id="directory"),
+    pytest.param(["h11", "{tmp}/doc.json"], b'{"catalog": "\xff"}', "{tmp}/doc.json",
+                 id="not UTF-8"),
+]
+
+
+@pytest.mark.parametrize("argv, content, needle", _BAD_INPUTS)
+def test_bad_input_is_one_located_error(capsys, tmp_path, argv, content, needle):
+    """Every malformed input from outside -- a section of the wrong type, an
+    unexpected field, a rational that does not parse, an unreadable file --
+    exits 2 with one ``error:`` line naming the field, and raises nothing."""
+    if content is not None:
+        (tmp_path / "doc.json").write_bytes(content)
+    code, out, err = run_cli(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle.replace("{tmp}", str(tmp_path)) in err
