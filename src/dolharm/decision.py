@@ -12,19 +12,26 @@ complex-linear system M (A, B', C')^T = v: one equation per basis (2,1)- and
 v = S T omega(m): the 4x4 table T (4i*del and 4i*delbar of the basis
 (1,1)-words) depends only on the structure and coframe and is computed once
 per pair, G(m) and omega(m) are closed forms in the metric, and S negates
-the delbar rows.  ``assemble_system`` evaluates that product;
-``decide_h11`` decides it on the exact and/or floating backend, re-verifies
-any witness by direct evaluation in the form algebra, and reports
-h11 = b^- + delta under an explicit b^- provenance.  The exact backend runs
-one elimination of [M|v]: its pivots give rank M and rank [M|v], and the
-same reduced rows give the witness, the minimum-norm solution (the basic
-solution projected off ker M, ``linalg.min_norm_from_rref``).  The float
-backend is a numpy evaluation of the same system: it scales M to unit
-columns and v to unit norm, which makes it blind to the metric's scale,
-decides delta from the two SVD ranks, and re-verifies the exact rational
-value of its least-squares witness with the same exact ``verify_witness``.
-It reports that exact residual relative to the size of d omega (and of
-gamma for the star residual), so the residuals do not see the scale either.
+the delbar rows.  ``assemble_system`` evaluates that product over the
+integers: the cached table holds T as Gaussian integers over one common
+denominator E, D G(m) and D omega(m) are Gaussian-integer matrices for one
+integer D per metric, and so each entry of [M|v] is one integer sum over
+E D, reduced once.
+
+``decide_h11`` decides the system on the exact and/or floating backend,
+re-verifies any witness by direct evaluation in the form algebra, and
+reports h11 = b^- + delta under an explicit b^- provenance.  The exact
+backend runs one elimination of [M|v]: its pivots give rank M and
+rank [M|v], and the same reduced rows give the witness, the minimum-norm
+solution (the basic solution projected off ker M,
+``linalg.min_norm_from_rref``).  The float backend is a numpy evaluation of
+the same system: it scales M to unit columns and v to unit norm, which
+makes it blind to the metric's scale, decides delta from the two SVD ranks,
+and re-verifies the exact rational value of its least-squares witness with
+the same exact ``verify_witness``.  It reports that exact residual relative
+to the size of d omega (and of gamma for the star residual), so the
+residuals do not see the scale either.  It refuses a system whose column
+norms leave double range; the exact backend decides every size.
 ``decide_h11`` (on one system) and ``decide_grid`` (on many) share one
 verdict engine, ``_verdicts``: the float ranks of all the systems from one
 batched SVD pass, then the exact path of each system in turn.
@@ -40,10 +47,11 @@ closed invariant 2-forms, and a nonzero pivot gives its witness.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bidegree import AlmostComplexCoframe, calculus_for
 from .catalog import CatalogEntry
@@ -56,7 +64,7 @@ from .hermitian import (ASDCoefficients, MetricParams, asd_form_scaled,
 from .lie import LieStructure, validate_d_squared
 from .linalg import (congruence_diagonal, float_lstsq, float_rank, kernel,
                      min_norm_from_rref, rref)
-from .scalars import QI, QI_I, to_complex
+from .scalars import QI, QI_I, _reduced, to_complex
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -72,18 +80,32 @@ def _require_valid_structure(lie: LieStructure) -> None:
         raise DolharmError(f"structure constants fail d^2 = 0: {bad}")
 
 
+class StructureTable(NamedTuple):
+    """T, and T over one common denominator: ``rows`` = ``ints`` / ``den``."""
+
+    rows: tuple[tuple[QI, ...], ...]
+    den: int
+    ints: tuple[tuple[tuple[int, int], ...], ...]   # (re, im) of den * T
+
+
 @lru_cache(maxsize=128)
 def _structure_tables(lie: LieStructure, coframe: AlmostComplexCoframe
-                      ) -> tuple[tuple[QI, ...], ...]:
+                      ) -> StructureTable:
     """The 4x4 table T: rows 4i*del on W21 then 4i*delbar on W12, columns W11.
 
     d of a (1,1)-word has only (2,1)- and (1,2)-components in dimension 4, so
-    its W21 coefficients are del and its W12 coefficients delbar.
+    its W21 coefficients are del and its W12 coefficients delbar.  The table
+    comes as QI entries and as Gaussian integers over one denominator.
     """
     calc = calculus_for(lie, coframe)
     four_i = QI(0, 4)
     ds = [calc.d_basis_word(w) for w in W11]
-    return tuple(tuple(four_i * d.get(word) for d in ds) for word in W21 + W12)
+    rows = tuple(tuple(four_i * d.get(word) for d in ds) for word in W21 + W12)
+    # a QI is held as the integer triple (n, m, d) of (n + m i)/d
+    den = math.lcm(*(t._t[2] for row in rows for t in row))
+    ints = tuple(tuple((n * (den // d), m * (den // d)) for n, m, d in (t._t for t in row))
+                 for row in rows)
+    return StructureTable(rows, den, ints)
 
 
 @dataclass(frozen=True)
@@ -105,20 +127,41 @@ def assemble_system(lie: LieStructure, coframe: AlmostComplexCoframe,
     and gamma(0,0,1), and omega(m) those of omega (the closed forms in
     :mod:`dolharm.hermitian`).  The del rows read 4i*del(gamma) =
     4i*del(omega); S negates the delbar rows, 4i*delbar(gamma) = -4i*delbar(omega).
+
+    The product is one evaluation over the integers.  Write r^2 = a/b,
+    s^2 = c/e and u = U/d with U a Gaussian integer.  The entries of G(m)
+    and omega(m) are r^2, s^2, 1, u, conj(u), u/r^2, conj(u)/r^2 and
+    |u|^2/r^2 times units, so D G(m) and D omega(m) are Gaussian-integer
+    matrices for D = a b e d^2.  The cached table holds T as Gaussian
+    integers over one denominator E, so each entry of [M|v] is an integer
+    sum over E D, reduced once by one gcd.
     """
     _require_valid_structure(lie)
-    i, u, ub, inv_r2 = QI(0, 1), m.u, m.u.conjugate(), QI(1 / m.r2)
-    gamma = ((QI(m.r2), QI(0), QI(0)),
-             (-(i * u), QI(1), QI(0)),
-             (i * ub, QI(0), QI(1)),
-             (QI((2 * u.abs2() - m.r2 * m.s2) / m.r2), i * ub * inv_r2, -(i * u) * inv_r2))
-    omega = (QI(0, m.r2), u, -ub, QI(0, m.s2))
+    table = _structure_tables(lie, coframe)
+    a, b = m.r2.numerator, m.r2.denominator
+    c, e = m.s2.numerator, m.s2.denominator
+    un, um, d = m.u._t                  # u = U/d with U = un + um i
+    p, q = a * b * e * d, b * b * e * d     # D u = p U and D u / r^2 = q U
+    dn = p * d                              # D
+    r2d, s2d = a * a * e * d * d, a * b * c * d * d   # D r^2, D s^2
+    g30 = 2 * b * b * e * (un * un + um * um) - s2d   # D (2|u|^2 / r^2 - s^2)
+    wr, wi = um, -un                    # W = -i U, so i conj(U) = conj(W)
+    den = table.den * dn                # E D
     matrix, rhs = [], []
-    for k, t in enumerate(_structure_tables(lie, coframe)):
-        matrix.append(tuple(sum((t[j] * gamma[j][c] for j in range(4) if t[j] and gamma[j][c]),
-                                start=QI(0)) for c in range(3)))
-        d_omega = sum((t[j] * omega[j] for j in range(4) if t[j]), start=QI(0))
-        rhs.append(d_omega if k < len(W21) else -d_omega)
+    for k, ((x0, y0), (x1, y1), (x2, y2), (x3, y3)) in enumerate(table.ints):
+        # row k of E T is (x_j + y_j i); G(m) has rows (r^2, 0, 0),
+        # (-i u, 1, 0), (i conj u, 0, 1), (2|u|^2/r^2 - s^2, i conj u/r^2, -i u/r^2)
+        sr = (x1 + x2) * wr - (y1 - y2) * wi        # t1 W + t2 conj(W)
+        si = (x1 - x2) * wi + (y1 + y2) * wr
+        re0, im0 = x0 * r2d + p * sr, y0 * r2d + p * si
+        matrix.append((_reduced(re0 + g30 * x3, im0 + g30 * y3, den),
+                       _reduced(x1 * dn + q * (x3 * wr + y3 * wi),
+                                y1 * dn + q * (y3 * wr - x3 * wi), den),
+                       _reduced(x2 * dn + q * (x3 * wr - y3 * wi),
+                                y2 * dn + q * (x3 * wi + y3 * wr), den)))
+        # D omega = (i D r^2, p U, -p conj U, i D s^2) = i (D r^2, p W, p conj W, D s^2)
+        vr, vi = -(im0 + y3 * s2d), re0 + x3 * s2d
+        rhs.append(_reduced(vr, vi, den) if k < len(W21) else _reduced(-vr, -vi, den))
     return HarmonicSystem(tuple(matrix), tuple(rhs), m)
 
 
@@ -232,7 +275,12 @@ def _decide_exact(system: HarmonicSystem, lie, coframe) -> tuple:
 
 
 def _float_systems(systems: Sequence[HarmonicSystem]):
-    """M and v of each system as complex stacks of shapes (k, 4, 3) and (k, 4)."""
+    """M and v of each system as complex stacks of shapes (k, 4, 3) and (k, 4).
+
+    A system is refused when the norm of a column of M or of v, by which
+    :func:`_unit_scaled` divides, is infinite in doubles, or zero though the
+    column is not: its float copy would be another system.
+    """
     try:
         import numpy as np
     except ImportError:
@@ -241,6 +289,15 @@ def _float_systems(systems: Sequence[HarmonicSystem]):
     mat = np.array([[[to_complex(c) for c in row] for row in s.matrix] for s in systems],
                    dtype=complex)
     vec = np.array([[to_complex(c) for c in s.rhs] for s in systems], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):    # read off below
+        norms = np.concatenate([np.linalg.norm(mat, axis=-2),
+                                np.linalg.norm(vec, axis=-1)[:, None]], axis=-1)
+    nonzero = [[any(col) for col in (*zip(*s.matrix), s.rhs)] for s in systems]
+    held = (np.isfinite(norms) & ((norms > 0) == nonzero)).all(axis=-1)
+    if not held.all():
+        m = systems[int(np.argmin(held))].metric
+        raise DolharmError(f"the float backend cannot hold the system at {m.describe()} "
+                           "in double precision; use --backend exact")
     return mat, vec
 
 
@@ -317,9 +374,19 @@ def _float_witness(system: HarmonicSystem, lie, coframe, stacks) -> tuple:
 
 
 def _witness_from_scaled(m: MetricParams, scaled) -> ASDCoefficients:
-    tau = m.tau
-    a, bp, cp = (to_complex(v) for v in scaled)
-    return ASDCoefficients(A=a, B=bp / tau, C=cp / tau)
+    """A, B = B'/tau and C = C'/tau as doubles; a part beyond double range is
+    infinite.  With tau^2 = t / 4^k and t near 1, B'/tau = 2^k B' / sqrt(t),
+    and no step leaves double range unless the result does."""
+    k = (m.tau2.denominator.bit_length() - m.tau2.numerator.bit_length()) // 2
+    two_k = Fraction(2) ** k
+    root_t = math.sqrt(m.tau2 * two_k * two_k)
+    # a float witness is taken at the exact value of its doubles
+    a, bp, cp = (v if isinstance(v, QI) else QI(Fraction(v.real), Fraction(v.imag))
+                 for v in scaled)
+    b, c = ((v * two_k).to_complex() for v in (bp, cp))
+    # part by part, so that an infinite part leaves the other one alone
+    return ASDCoefficients(A=a.to_complex(), B=complex(b.real / root_t, b.imag / root_t),
+                           C=complex(c.real / root_t, c.imag / root_t))
 
 
 def decide_h11(lie: LieStructure, coframe: AlmostComplexCoframe, m: MetricParams,
@@ -394,7 +461,7 @@ def _ak_kernel(lie: LieStructure, coframe: AlmostComplexCoframe) -> list[list[Fr
     """
     four_i, i = QI(0, 4), QI(0, 1)
     rows: list[list[Fraction]] = []
-    for t_row in _structure_tables(lie, coframe)[len(W21):]:
+    for t_row in _structure_tables(lie, coframe).rows[len(W21):]:
         t = {w: c / four_i for w, c in zip(W11, t_row)}
         cols = [i * t[(1, 3)],
                 i * t[(2, 4)],

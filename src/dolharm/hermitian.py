@@ -34,7 +34,6 @@ Every scalar is exact: QI, and RootExt in the unitary coframe.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -103,11 +102,6 @@ class MetricParams:
     @property
     def det_g(self) -> Fraction:
         return self.tau2
-
-    # floating view, for the unscaled witness B = B'/tau, C = C'/tau
-    @property
-    def tau(self) -> float:
-        return math.sqrt(float(self.tau2))
 
     def scaled(self, lam: Fraction) -> "MetricParams":
         """The metric with r -> lam r, s -> lam s, u -> lam^2 u (lam > 0)."""

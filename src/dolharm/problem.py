@@ -30,6 +30,7 @@ decisions and take no options.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Mapping, Optional
@@ -284,7 +285,7 @@ def validation_section(problem: Problem) -> dict:
 def structure_tables_section(problem: Problem) -> dict:
     """d of phi^1, phi^2 and the columns of T as 4i*del / 4i*delbar forms."""
     calc = calculus_for(problem.lie, problem.coframe)
-    table = _structure_tables(problem.lie, problem.coframe)
+    table = _structure_tables(problem.lie, problem.coframe).rows
     names = ("phi^{1 1bar}", "phi^{1 2bar}", "phi^{2 1bar}", "phi^{2 2bar}")
     tables = {"d": {}, "4i_del": {}, "4i_delbar": {}}
     for letter, label in ((1, "phi^1"), (2, "phi^2")):
@@ -325,10 +326,10 @@ def decision_section(problem: Problem) -> dict:
                       "star_gamma_plus_gamma": report.residual_star},
     }
     if report.witness is not None:
-        a, b, c = report.witness.A, report.witness.B, report.witness.C
-        witness = {
-            "A": [a.real, a.imag], "B": [b.real, b.imag], "C": [c.real, c.imag],
-        }
+        # a part beyond double range is null; scaled_exact holds it exactly
+        witness = {key: [x if math.isfinite(x) else None for x in (z.real, z.imag)]
+                   for key, z in zip("ABC", (report.witness.A, report.witness.B,
+                                             report.witness.C))}
         if report.backend in ("exact", "both"):
             sa, sb, sc = report.witness_scaled
             witness["scaled_exact"] = {"A": _qi_json(sa), "B_scaled": _qi_json(sb),
@@ -437,10 +438,12 @@ def sweep_csv(problem: Problem, *,
     res = grid_values(u_re[0], u_re[1], steps)
     ims = grid_values(u_im[0], u_im[1], steps)
     metrics = []                  # row-major; None marks an invalid metric
+    # with r <= 0 or s <= 0 no cell is a metric: r^2 = 0 is rejected
+    r2, s2 = (r * r, s * s) if r > 0 and s > 0 else (0, 0)
     for vim in ims:
         for vre in res:
             try:
-                metrics.append(MetricParams.from_rs(r, s, QI(vre, vim)))
+                metrics.append(MetricParams(r2, s2, QI(vre, vim), r_given=r, s_given=s))
             except MetricError:
                 metrics.append(None)
     options = problem.options
@@ -509,9 +512,11 @@ def render_human(report: Mapping) -> str:
             lines.append(f"  NOTE: {d['note']}")
         if d["witness"]:
             w = d["witness"]
-            lines.append(f"  witness: A={w['A'][0]:.6g}+({w['A'][1]:.6g})i "
-                         f"B={w['B'][0]:.6g}+({w['B'][1]:.6g})i "
-                         f"C={w['C'][0]:.6g}+({w['C'][1]:.6g})i")
+            g = {key: ["beyond-double" if x is None else f"{x:.6g}" for x in w[key]]
+                 for key in "ABC"}
+            lines.append(f"  witness: A={g['A'][0]}+({g['A'][1]})i "
+                         f"B={g['B'][0]}+({g['B'][1]})i "
+                         f"C={g['C'][0]}+({g['C'][1]})i")
             if "scaled_exact" in w:
                 se = w["scaled_exact"]
                 lines.append(f"  witness (exact, tau-scaled): A={se['A']['re']}+({se['A']['im']})i "

@@ -166,9 +166,9 @@ class QI:
         return hash(self._t)
 
     def to_complex(self) -> complex:
-        # int / int is correctly rounded, so this equals float(Fraction(n, d))
+        """The nearest doubles; a part beyond double range is +-inf."""
         n, m, d = self._t
-        return complex(n / d, m / d)
+        return complex(_ratio(n, d), _ratio(m, d))
 
     def __complex__(self) -> complex:
         return self.to_complex()
@@ -208,6 +208,15 @@ def _reduced(n: int, m: int, d: int) -> QI:
     if g != 1:
         n, m, d = n // g, m // g, d // g
     return _canonical(n, m, d)
+
+
+def _ratio(n: int, d: int) -> float:
+    """n/d for d > 0, correctly rounded; +-inf beyond double range."""
+    # int / int is correctly rounded, so this equals float(Fraction(n, d))
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
 
 
 def _triple(x) -> "tuple[int, int, int] | None":
@@ -251,8 +260,12 @@ def to_complex(x) -> complex:
 
 
 def magnitude(x) -> float:
-    """Floating magnitude, for pivot selection only (never affects exactness)."""
-    return abs(to_complex(x))
+    """Floating magnitude, for pivot selection only (never affects exactness);
+    inf beyond double range."""
+    try:
+        return abs(to_complex(x))
+    except OverflowError:
+        return math.inf
 
 
 class RootExt:

@@ -413,6 +413,54 @@ def test_float_witness_only_on_a_float_jump(capsys):
                                      "star_gamma_plus_gamma": 0.0}
 
 
+def _strict_json(text: str):
+    """JSON with NaN and Infinity rejected, as any other JSON reader does."""
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("backend", ["exact", "both", "float"])
+@pytest.mark.parametrize("r", ["1e200", "1e-200"])
+def test_metric_beyond_double_range(capsys, r, backend):
+    """r = 10^(+-200) gives a valid metric whose system lies beyond double
+    range.  The exact backend decides it, with the witness exactly and as
+    doubles; the float backend (alone or in "both") cannot hold the system
+    and exits 2 with one error line.  Nothing raises."""
+    argv = ["h11", "--entry", "secondary_kodaira", "--metric", f"{r},1,0,0",
+            "--backend", backend, "--json"]
+    code, out, err = run_cli(capsys, *argv)
+    if backend != "exact":
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the float backend cannot hold the system at r^2=")
+        assert err.count("\n") == 1 and "use --backend exact" in err
+        return
+    assert (code, err) == (0, "")
+    decision = _strict_json(out)["decision"]
+    assert (decision["delta"], decision["rank"]) == (1, {"M": 3, "M_augmented": 3})
+    # B' = -i r^2 and B = B'/tau = -i r, from the exact rationals
+    r2 = Fraction(r) ** 2
+    assert decision["witness"]["scaled_exact"]["B_scaled"] == {"re": "0", "im": str(-r2)}
+    assert decision["witness"]["B"] == [0.0, -float(r)]
+    code, out, err = run_cli(capsys, "sweep", "--entry", "secondary_kodaira", "--r", r,
+                             "--s", "1", "--u-re=0:0", "--u-im=0:0", "--steps", "1",
+                             "--backend", "exact")
+    assert (code, err, out.splitlines()[1]) == (0, "", "0,1")
+
+
+def test_witness_float_view_beyond_double_range_is_null(capsys):
+    """B = B'/tau = -i r/s = -i 10^500 has no double: that part reads null
+    in JSON and beyond-double in text, and scaled_exact holds it exactly."""
+    argv = ["h11", "--entry", "secondary_kodaira", "--metric", "1e400,1e-100,0,0",
+            "--backend", "exact"]
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    witness = _strict_json(out)["decision"]["witness"]
+    assert code == 0 and witness["B"] == [0.0, None] and witness["C"] == [0.0, None]
+    assert witness["scaled_exact"]["B_scaled"]["im"] == str(-Fraction(10) ** 800)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "B=0+(beyond-double)i" in out
+
+
 _CATALOG_DOC = {
     "catalog": {"name": "inoue_sm", "params": {"alpha": "1", "beta": "0"}},
     "metric": {"r": "1", "s": "2", "u_re": "1/2", "u_im": "0"},

@@ -20,13 +20,14 @@ import pytest
 from dolharm import catalog
 from dolharm.bidegree import AlmostComplexCoframe
 from dolharm.cohomology import closed_form_basis
-from dolharm.decision import (DEFAULT_TOLERANCE, W11, W12, _ak_kernel, _float_systems,
-                              _positivity_ok, _unit_scaled, almost_kahler_feasible,
-                              assemble_system, calculus_for, decide_grid, decide_h11,
-                              symplectic_feasible, verify_witness)
+from dolharm.decision import (DEFAULT_TOLERANCE, W11, W12, W21, _ak_kernel,
+                              _float_systems, _positivity_ok, _unit_scaled,
+                              almost_kahler_feasible, assemble_system, calculus_for,
+                              decide_grid, decide_h11, symplectic_feasible,
+                              verify_witness)
 from dolharm.errors import BackendDisagreementError, DolharmError, MetricError
 from dolharm.exterior import FrameTag, InvariantForm
-from dolharm.hermitian import MetricParams, fundamental_form
+from dolharm.hermitian import MetricParams, asd_basis_scaled, fundamental_form
 from dolharm.linalg import float_rank, invert_matrix, kernel, rank, rref
 from dolharm.problem import Options, Problem, sweep_csv
 from dolharm.scalars import QI
@@ -143,6 +144,50 @@ def test_assembled_system_equals_reference_system(name):
         mine = homogeneous_rows(assemble_system(entry.lie, entry.coframe, m))
         expected = reference_system(name, params, m)
         assert systems_equal_up_to_row_scaling(mine, expected), (name, m.describe())
+
+
+def _form_algebra_system(lie, coframe, m):
+    """[M|v] from the form algebra alone: column k of M is 4i times the W21
+    and W12 coefficients of d gamma(e_k), and v is 4i d omega with the
+    delbar (W12) rows negated."""
+    calc = calculus_for(lie, coframe)
+    four_i = QI(0, 4)
+    d_gammas = [calc.d(g) for g in asd_basis_scaled(m)]
+    d_omega = calc.d(fundamental_form(m))
+    words = W21 + W12
+    matrix = tuple(tuple(four_i * dg.get(w) for dg in d_gammas) for w in words)
+    rhs = tuple(four_i * d_omega.get(w) * (1 if k < len(W21) else -1)
+                for k, w in enumerate(words))
+    return matrix, rhs
+
+
+# de^1 = e^14, de^2 = -e^24, de^3 = e^12: solvable, not unimodular, in no entry
+_CUSTOM_LIE = {1: {(1, 4): 1}, 2: {(2, 4): -1}, 3: {(1, 2): 1}}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_PARAMS) + ["custom"])
+def test_assembled_system_equals_form_algebra_entrywise(name):
+    """The integer evaluation of M = T G(m), v = S T omega(m) equals, entry for
+    entry, the system built in the form algebra: on the entry's coframe and
+    two random ones, at scales 10^0, 10^+-8 and 10^+-200, with u as drawn,
+    real, purely imaginary and zero."""
+    from dolharm import LieStructure
+
+    rng = random.Random(sum(map(ord, name)))
+    if name == "custom":
+        lie, coframes = LieStructure.from_d(_CUSTOM_LIE, "custom"), []
+    else:
+        entry = catalog(name, **DEFAULT_PARAMS[name])
+        lie, coframes = entry.lie, [entry.coframe]
+    coframes += [random_coframe(rng) for _ in range(2)]
+    for coframe in coframes:
+        for k in (0, -8, 8, -200, 200):
+            m = random_metric(rng).scaled(Fraction(10) ** k)
+            for u in (m.u, QI(m.u.re), QI(0, m.u.im), QI(0)):
+                metric = MetricParams.from_squares(m.r2, m.s2, u)
+                system = assemble_system(lie, coframe, metric)
+                matrix, rhs = _form_algebra_system(lie, coframe, metric)
+                assert system.matrix == matrix and system.rhs == rhs, (name, k, u)
 
 
 def test_secondary_kodaira_flat_system_reduces_to_reference():

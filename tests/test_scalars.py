@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dolharm.scalars import QI, RootExt, as_fraction, exact_sqrt
+from dolharm.scalars import QI, RootExt, as_fraction, exact_sqrt, magnitude
 
 from conftest import rand_fraction
 
@@ -292,3 +292,15 @@ def test_qi_division_by_every_kind_of_zero():
     for num in (1, Fraction(1, 3), QI(0, 1)):
         with pytest.raises(ZeroDivisionError):
             num / QI(0)
+
+
+def test_floats_beyond_double_range_are_infinite():
+    """The float view of a value beyond double range is +-inf per part, and the
+    pivot key is inf there, never an OverflowError; in range both are as before."""
+    big = 10 ** 400
+    assert QI(big, -big).to_complex() == complex(math.inf, -math.inf)
+    assert QI(Fraction(1, big), 3).to_complex() == complex(0.0, 3.0)
+    assert magnitude(QI(0, -big)) == magnitude(QI(big, big)) == math.inf
+    # finite parts whose modulus overflows
+    assert magnitude(QI(15 * 10 ** 307, 15 * 10 ** 307)) == math.inf
+    assert magnitude(QI(Fraction(3, 4), -1)) == abs(complex(0.75, -1.0))
